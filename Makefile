@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke front-smoke obs-smoke concurrency-smoke cache-smoke compose-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke front-smoke obs-smoke concurrency-smoke cache-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -29,8 +29,8 @@ bench-serve:
 bench-front:
 	$(PY) -m repro.cli bench-front
 
-# Hot-loop benchmark: single-run nodes/sec (string vs interned columnar
-# path, all three algorithms) + cold-vs-shared-document serve throughput.
+# Hot-loop benchmark: single-run nodes/sec over the columnar layout (all
+# three algorithms) + cold-vs-shared-document serve throughput.
 # Writes BENCH_hype.json at the repo root — the perf trajectory record.
 bench-hot:
 	$(PY) benchmarks/bench_hot.py --check
@@ -67,14 +67,6 @@ concurrency-smoke:
 # cold pipeline on compile time, and answer identically. CI runs this.
 cache-smoke:
 	$(PY) -m pytest benchmarks/test_warm_restart.py -q
-
-# Composed-tier smoke: a brand-new service over a populated --plan-dir
-# must serve a same-view wave by REHYDRATING the persisted composed
-# transition tables — zero recompositions (nothing newly interned, the
-# idempotent persist writes nothing back) and identical answers. CI
-# runs this.
-compose-smoke:
-	$(PY) -m pytest benchmarks/test_compose_restart.py -q
 
 # Fleet smoke: 3 workers over >= 2 structurally different documents
 # behind the consistent-hash acceptor.  Asserts byte-identical answers

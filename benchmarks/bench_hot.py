@@ -6,22 +6,18 @@ min-of-N wall-clock protocol:
 
 1. **Single-run evaluation** — nodes/sec for ``hype`` vs ``opthype`` vs
    ``opthype-c`` over the Fig. 8 query family plus a structural scan,
-   on the string-label path *and* the interned columnar path (the
-   document-layout fast loop), with per-query speedups;
+   through the columnar document layout (the evaluator's one data
+   path);
 2. **Dense-kernel speedup** — the unified :mod:`repro.hype.kernel`
    descent against the preserved PR 5 interned-columnar loop
    (``benchmarks/legacy_columnar.py``), same plan, same layout,
    byte-identical answers asserted before timing.  Samples interleave
    the two sides inside each round so clock drift hits both alike, and
    sub-timer rows are lifted by a calibrated inner-repeat loop;
-3. **Wave-composition scaling** — the per-lane batch loop vs ONE
-   :class:`repro.hype.compose.ComposedKernel` at wave widths 1/2/4/8/16
-   over distinct queries, per-lane answers/stats asserted identical
-   first; the ``wave_scaling`` rows carry the lanes-vs-lane-steps/sec
-   curve, and the width-8 composed speedup is floor-checked at
-   ``>= 1.3x`` on descent-bound (plain ``hype``) rows.  The ``skew``
-   row replays the Zipf-hot-document scenario workload
-   (:mod:`repro.workloads.skew`) per-request vs composed waves;
+3. **Scenario rows** — the ``skew`` row replays the Zipf-hot-document
+   workload (:mod:`repro.workloads.skew`) per-request vs batched waves;
+   the ``adversarial`` row times rewrite-bomb rejection and the honest
+   stream around it;
 4. **Serve-batch throughput on a repeated-document workload** — the
    multi-tenant hospital traffic replayed (a) *cold*, where every
    request pays its own parse + OptHyPE index build (the pre-docstore
@@ -72,7 +68,7 @@ from repro.docstore import DocumentStore, IndexedDocument
 from repro.hype.api import ALGORITHMS, HYPE, OPTHYPE, compile_plan
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
-from repro.workloads.queries import FIG8, FIG9
+from repro.workloads.queries import FIG8
 from repro.workloads.traffic import TrafficConfig, generate_traffic, waves
 from repro.xtree.parse import parse_xml
 from repro.xtree.serialize import serialize
@@ -94,7 +90,7 @@ def best_of(callable_, repeats: int) -> float:
 
 # ----------------------------------------------------------------------
 def bench_single_runs(tree, repeats: int) -> dict:
-    """Nodes/sec per algorithm, string vs interned-columnar paths."""
+    """Nodes/sec per algorithm over the document's columnar layout."""
     doc = IndexedDocument(tree)
     layout = doc.layout
     elements = tree.element_count
@@ -103,23 +99,16 @@ def bench_single_runs(tree, repeats: int) -> dict:
         per_algo: dict = {}
         for algorithm in ALGORITHMS:
             plan = compile_plan(query, algorithm=algorithm, tree=tree)
-            # Warm both paths so memo tables don't skew the comparison.
-            reference = plan.run(tree.root)
-            columnar_ref = plan.run(tree.root, layout=layout)
-            assert columnar_ref.answers == reference.answers
-            assert columnar_ref.stats == reference.stats
-            string_s = best_of(lambda: plan.run(tree.root), repeats)
+            # Warm the memo tables so the first run doesn't skew the min.
+            reference = plan.run(tree.root, layout=layout)
             columnar_s = best_of(
                 lambda: plan.run(tree.root, layout=layout), repeats
             )
             per_algo[algorithm] = {
                 "visited_elements": reference.stats.visited_elements,
                 "answers": reference.stats.answers,
-                "string_s": string_s,
                 "columnar_s": columnar_s,
-                "string_nodes_per_s": elements / string_s,
                 "columnar_nodes_per_s": elements / columnar_s,
-                "interning_speedup": string_s / columnar_s,
             }
         results[name] = per_algo
     return results
@@ -206,164 +195,15 @@ def dense_median(dense: dict) -> float:
 
 
 # ----------------------------------------------------------------------
-#: Wave-composition floor: composed throughput at width 8 must beat the
-#: per-lane batch path by this factor on *descent-bound* rows (plain
-#: ``hype`` — no per-node index probes, so the one-composed-lookup win
-#: is the dominant term).  The indexed algorithms are pop-bound: their
-#: predicate-final pops are irreducibly per-lane, so their rows are
-#: recorded for the curve but not floor-gated.
-WAVE_FLOOR = 1.3
-WAVE_FLOOR_WIDTH = 8
-WAVE_WIDTHS = (1, 2, 4, 8, 16)
-#: The wave rows keep a document floor and min-of-3 even under --smoke:
-#: on a dozen-patient tree a full pass is ~0.5 ms and the per-run
-#: constant costs (cursor setup, root handling) drown the per-node
-#: signal the floor gates — the curve would measure noise, not stepping.
-WAVE_MIN_PATIENTS = 120
-WAVE_MIN_REPEATS = 3
-
-#: Wave lanes must be DISTINCT queries: the service dedups identical
-#: plans inside a wave (they share one lane), so a realistic width-W
-#: wave is W different automata — the hard case for composition.
-WAVE_QUERIES = {
-    **FIG8,
-    **FIG9,
-    "scan": "//patient/visit/treatment",
-    "flu": "//patient[.//diagnosis/text() = 'flu']",
-    "asthma": "//patient[.//diagnosis/text() = 'asthma']",
-    "xray": "//patient[.//test/text() = 'x-ray']",
-    "oncology": "//patient[.//specialty/text() = 'oncology']",
-    "city": "//patient[.//city/text() = 'edinburgh']",
-    "tablet": "//visit[treatment/medication/type/text() = 'tablet']",
-    "neuro": "//patient[visit/doctor/specialty/text() = 'neurology']/pname",
-    "meds": "//treatment/medication/diagnosis",
-    "addresses": "//patient/address/city",
-}
-
-
-def bench_wave_scaling(tree, repeats: int) -> dict:
-    """Composed vs per-lane batch stepping at wave widths 1/2/4/8/16.
-
-    Both sides drive the same compiled plans over the same layout from
-    fresh :class:`repro.hype.core.RunCursor`s — the per-lane side is the
-    shared :func:`repro.hype.kernel.descend` batch loop (one traversal,
-    W table lookups per node), the composed side is ONE
-    :class:`repro.hype.compose.ComposedKernel` (one lookup per node).
-    Answers and full per-lane ``HyPEStats`` are asserted identical
-    before timing; samples interleave the two sides per round.  The
-    headline is ``lane_steps_per_s`` growing *sublinearly* in cost:
-    composed wall time at width W sits well under W x width-1 time.
-    """
-    from repro.hype.compose import ComposedKernel, descend_composed
-    from repro.hype.core import RunCursor
-    from repro.hype.index import build_index
-    from repro.hype.kernel import descend
-
-    layout = IndexedDocument(tree).layout
-    elements = tree.element_count
-    pool = list(WAVE_QUERIES.values())
-    results: dict = {}
-    for algorithm in ALGORITHMS:
-        # Composition requires the members to share ONE index object
-        # (the serving stack hands every lane the document's index), so
-        # the opt plans here are compiled against a shared build.
-        index = (
-            None
-            if algorithm == HYPE
-            else build_index(tree, compressed=(algorithm != OPTHYPE))
-        )
-        all_plans = [
-            compile_plan(query, algorithm=algorithm, index=index)
-            for query in pool
-        ]
-        rows = []
-        for width in WAVE_WIDTHS:
-            plans = all_plans[:width]
-
-            def run_perlane():
-                cursors = [RunCursor(plan) for plan in plans]
-                descend(list(zip(plans, cursors)), tree.root, layout)
-                return cursors
-
-            if width < 2:
-                # A singleton group never composes (the service routes
-                # it per-lane) — the width-1 row anchors the curve with
-                # the per-lane loop on both arms.
-                kernel = None
-                run_composed = run_perlane
-            else:
-                kernel = ComposedKernel(plans)
-
-                def run_composed():
-                    cursors = [RunCursor(plan) for plan in plans]
-                    descend_composed(kernel, cursors, tree.root, layout)
-                    return cursors
-
-            # Warm both sides (memos, composed tables) and prove the
-            # composed pass byte-identical per lane before timing.
-            reference = [cursor.finish() for cursor in run_perlane()]
-            composed = [cursor.finish() for cursor in run_composed()]
-            for lane, (ref, got) in enumerate(zip(reference, composed)):
-                assert got.answers == ref.answers, f"lane {lane} answers"
-                assert got.stats == ref.stats, f"lane {lane} stats"
-            inner = _calibrated_inner(run_perlane)
-            perlane_s = composed_s = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                for _ in range(inner):
-                    run_perlane()
-                middle = time.perf_counter()
-                for _ in range(inner):
-                    run_composed()
-                ended = time.perf_counter()
-                perlane_s = min(perlane_s, (middle - started) / inner)
-                composed_s = min(composed_s, (ended - middle) / inner)
-            rows.append(
-                {
-                    "width": width,
-                    "inner_repeats": inner,
-                    "perlane_s": perlane_s,
-                    "composed_s": composed_s,
-                    "composed_speedup": perlane_s / composed_s,
-                    # Lane-steps/sec: W lanes advanced over the whole
-                    # document per pass — the axis the curve plots.
-                    "perlane_lane_steps_per_s": width * elements / perlane_s,
-                    "composed_lane_steps_per_s": width * elements / composed_s,
-                    "composed": kernel is not None,
-                    "interned_ccfgs": 0 if kernel is None else kernel.interned_ccfgs,
-                    "descent_bound": algorithm == HYPE,
-                }
-            )
-        results[algorithm] = rows
-    return results
-
-
-def wave_floor_failures(wave: dict) -> list[str]:
-    """Floor check: width-8 composed speedup on descent-bound rows."""
-    failures = []
-    for algorithm, rows in wave.items():
-        for row in rows:
-            if row["width"] != WAVE_FLOOR_WIDTH or not row["descent_bound"]:
-                continue
-            if row["composed_speedup"] < WAVE_FLOOR:
-                failures.append(
-                    f"wave composition at width {row['width']} "
-                    f"({algorithm}): x{row['composed_speedup']:.2f} < "
-                    f"{WAVE_FLOOR} floor over the per-lane batch path"
-                )
-    return failures
-
-
-# ----------------------------------------------------------------------
 def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
-    """The Zipf-hot scenario: per-request vs composed waves, one hot key.
+    """The Zipf-hot scenario: per-request vs batched waves, one hot key.
 
     First entry of the scenario-zoo matrix: N same-shape documents with
     a Zipf document draw (:mod:`repro.workloads.skew`).  The per-request
     side pays one sequential pass per query; the wave side batches the
-    stream 8 requests at a time through a ``compose=True`` service, so
-    same-view lanes piling onto the hot document fuse into composed
-    groups.  Answers are asserted identical before timing.
+    stream 8 requests at a time, so same-view lanes piling onto the hot
+    document share one pass.  Answers are asserted identical before
+    timing.
     """
     from repro.workloads.skew import (
         SkewConfig,
@@ -386,7 +226,7 @@ def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
             for r in traffic
         ]
 
-    composed_service, _ = build_skew_service(cfg, compose=True)
+    wave_service, _ = build_skew_service(cfg)
 
     def run_waves() -> list:
         answers = []
@@ -395,18 +235,17 @@ def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
                 QueryRequest(r.tenant, r.query, document=r.document)
                 for r in wave
             ]
-            wave_answers, _stats = composed_service.submit_many(batch)
+            wave_answers, _stats = wave_service.submit_many(batch)
             answers.extend(a.ids() for a in wave_answers)
         return answers
 
     expected = run_sequential()
     got = run_waves()
-    assert got == expected, "composed skew serving changed answers"
+    assert got == expected, "batched skew serving changed answers"
     sequential_s = best_of(run_sequential, repeats)
-    composed_s = best_of(run_waves, repeats)
-    snapshot = composed_service.metrics_snapshot()
+    waves_s = best_of(run_waves, repeats)
     sequential.close()
-    composed_service.close()
+    wave_service.close()
     return {
         "requests": len(traffic),
         "tenants": tenants,
@@ -414,11 +253,8 @@ def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
         "zipf_s": cfg.zipf_s,
         "hot_document_share": share.get(hot_hash, 0) / len(traffic),
         "sequential_s": sequential_s,
-        "composed_waves_s": composed_s,
-        "throughput_speedup": sequential_s / composed_s,
-        "composed_groups": snapshot.composed_groups,
-        "composed_lanes": snapshot.composed_lanes,
-        "composed_fallbacks": snapshot.composed_fallbacks,
+        "waves_s": waves_s,
+        "throughput_speedup": sequential_s / waves_s,
     }
 
 
@@ -480,7 +316,7 @@ def bench_adversarial(tenants: int, requests: int, repeats: int, seed: int) -> d
     expected, rejected = run_stream()
     assert rejected == bombs, "a bomb slipped past the compile budget"
 
-    wave_service, _ = build_adversarial_service(cfg, compose=True)
+    wave_service, _ = build_adversarial_service(cfg)
 
     def run_waves():
         answers, rejected = [], 0
@@ -786,11 +622,11 @@ OVERHEAD_CEILING = 0.02
 def hot_loop_total(single: dict) -> float:
     """Aggregate single-run wall time — the overhead comparison basis.
 
-    Summing every row (all queries x algorithms x both paths) damps the
-    per-row timer noise that would make a 2%% per-query check flaky.
+    Summing every row (all queries x algorithms) damps the per-row
+    timer noise that would make a 2%% per-query check flaky.
     """
     return sum(
-        entry["string_s"] + entry["columnar_s"]
+        entry["columnar_s"]
         for per_algo in single.values()
         for entry in per_algo.values()
     )
@@ -885,31 +721,13 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     single = bench_single_runs(tree, args.repeats)
-    # Median over *measurable* rows only: a pruned-to-nothing run (the
-    # opt variants skip the whole tree on structural scans) finishes in
-    # microseconds and its ratio is timer noise, not a signal.
-    speedups = [
-        entry["interning_speedup"]
-        for per_algo in single.values()
-        for entry in per_algo.values()
-        if entry["string_s"] >= 5e-4
-    ]
-    speedups = speedups or [1.0]
     for name, per_algo in single.items():
         for algorithm, entry in per_algo.items():
             print(
                 f"  {name:6s} {algorithm:9s} "
-                f"string {entry['string_s'] * 1000:8.2f} ms "
-                f"({entry['string_nodes_per_s'] / 1e3:7.0f}k nodes/s)  "
                 f"columnar {entry['columnar_s'] * 1000:8.2f} ms "
-                f"({entry['columnar_nodes_per_s'] / 1e3:7.0f}k nodes/s)  "
-                f"x{entry['interning_speedup']:.2f}"
+                f"({entry['columnar_nodes_per_s'] / 1e3:7.0f}k nodes/s)"
             )
-    median_speedup = statistics.median(speedups)
-    print(
-        f"interning median speedup over {len(speedups)} measurable "
-        f"row(s): x{median_speedup:.2f} (max x{max(speedups):.2f})"
-    )
 
     dense = bench_dense(tree, args.repeats)
     for name, per_algo in dense.items():
@@ -928,41 +746,14 @@ def main(argv: list[str] | None = None) -> int:
         f"x{dense_med:.2f} (floor x{DENSE_FLOOR})"
     )
 
-    wave_tree = tree
-    if args.patients < WAVE_MIN_PATIENTS:
-        wave_tree = generate_hospital_document(
-            HospitalConfig(num_patients=WAVE_MIN_PATIENTS, seed=args.seed)
-        )
-    wave = bench_wave_scaling(wave_tree, max(args.repeats, WAVE_MIN_REPEATS))
-    for algorithm, rows in wave.items():
-        for row in rows:
-            bound = "descent-bound" if row["descent_bound"] else ""
-            print(
-                f"  wave {algorithm:9s} width {row['width']:2d}  "
-                f"per-lane {row['perlane_s'] * 1000:8.2f} ms  "
-                f"composed {row['composed_s'] * 1000:8.2f} ms  "
-                f"x{row['composed_speedup']:.2f} "
-                f"({row['composed_lane_steps_per_s'] / 1e6:6.2f}M "
-                f"lane-steps/s, {row['interned_ccfgs']} ccfgs) {bound}"
-            )
-    wave_failures = wave_floor_failures(wave)
-    print(
-        f"wave composition width-{WAVE_FLOOR_WIDTH} floor "
-        f"x{WAVE_FLOOR} on descent-bound rows: "
-        + ("HOLDS" if not wave_failures else "FAILED")
-    )
-
     skew = bench_skew(args.tenants, args.requests, args.repeats, args.seed)
     print(
         f"skew scenario ({skew['documents']} documents, Zipf "
         f"s={skew['zipf_s']}, hot share "
         f"{skew['hot_document_share']:.0%}):\n"
-        f"  per-request: {skew['sequential_s']:.3f} s; composed waves: "
-        f"{skew['composed_waves_s']:.3f} s — "
-        f"x{skew['throughput_speedup']:.2f} "
-        f"({skew['composed_lanes']} lane(s) in "
-        f"{skew['composed_groups']} composed group(s), "
-        f"{skew['composed_fallbacks']} fallback(s))"
+        f"  per-request: {skew['sequential_s']:.3f} s; batched waves: "
+        f"{skew['waves_s']:.3f} s — "
+        f"x{skew['throughput_speedup']:.2f}"
     )
 
     adversarial = bench_adversarial(
@@ -1009,10 +800,8 @@ def main(argv: list[str] | None = None) -> int:
             "elements": tree.element_count,
         },
         "single_run": single,
-        "interning_median_speedup": median_speedup,
         "dense": dense,
         "dense_median_speedup": dense_med,
-        "wave_scaling": wave,
         "skew": skew,
         "adversarial": adversarial,
         "serve": serve,
@@ -1085,7 +874,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"dense-kernel median speedup x{dense_med:.2f} < "
                 f"{DENSE_FLOOR} floor on descent-bound rows"
             )
-        failures.extend(wave_failures)
         if adversarial["bomb_reject_s"] >= 5.0:
             failures.append(
                 f"rewrite-bomb rejection took "

@@ -480,7 +480,6 @@ def _front_service(args: argparse.Namespace):
         pool_size=args.pool_size,
         plan_store=_plan_store(args),
         document_store=doc_store,
-        compose=getattr(args, "compose", False),
     )
     if getattr(args, "spec", None):
         with open(args.spec) as handle:
@@ -1024,7 +1023,6 @@ def cmd_bench_front(args: argparse.Namespace) -> int:
             pool_size=args.pool_size,
             plan_store=_plan_store(args),
             document_store=_document_store(args),
-            compose=args.compose,
         )
     elif getattr(args, "workload", "hospital") == "skew":
         # The Zipf-hot stream: every tenant hammering one of N same-shape
@@ -1048,7 +1046,6 @@ def cmd_bench_front(args: argparse.Namespace) -> int:
             pool_size=args.pool_size,
             plan_store=_plan_store(args),
             document_store=_document_store(args),
-            compose=args.compose,
         )
     elif getattr(args, "workload", "hospital") == "adversarial":
         # The malicious-tenant stream: rewrite bombs salted into honest
@@ -1073,7 +1070,6 @@ def cmd_bench_front(args: argparse.Namespace) -> int:
             pool_size=args.pool_size,
             plan_store=_plan_store(args),
             document_store=_document_store(args),
-            compose=args.compose,
         )
     else:
         document = generate_hospital_document(
@@ -1096,7 +1092,6 @@ def cmd_bench_front(args: argparse.Namespace) -> int:
             pool_size=args.pool_size,
             plan_store=_plan_store(args),
             document_store=_document_store(args),
-            compose=args.compose,
         )
         register_tenants(front, config)
 
@@ -1493,11 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent document-index directory (restarts skip index builds)",
     )
     sfr.add_argument(
-        "--compose",
-        action="store_true",
-        help="step same-view wave groups as one composed automaton",
-    )
-    sfr.add_argument(
         "--smoke",
         action="store_true",
         help="boot on an ephemeral port, run a scripted wave, check replies",
@@ -1528,12 +1518,6 @@ def build_parser() -> argparse.ArgumentParser:
         "skew = N same-shape documents behind a Zipf-hot stream; "
         "adversarial = honest traffic salted with rewrite bombs and a "
         "cache-poisoning view swap (bombs must reject query-too-complex)",
-    )
-    bfr.add_argument(
-        "--compose",
-        action="store_true",
-        help="front-end steps same-view wave groups as one composed "
-        "automaton (the per-request baseline stays sequential)",
     )
     bfr.add_argument("--gap-ms", type=float, default=1.0)
     bfr.add_argument("--jitter", type=float, default=0.75)

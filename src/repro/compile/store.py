@@ -34,7 +34,6 @@ may be shared between views, tenants and (equally trusted) processes.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -46,18 +45,15 @@ from .artifact import ArtifactError, PlanArtifact, PlanKey
 #: Suffix of artifact files inside a store directory.
 PLAN_SUFFIX = ".plan.json"
 
-#: Suffix of composed-kernel payload files (the wave-composition tier).
+#: Suffix of the composed-kernel payload files older versions wrote.
+#: No current process reads them; :meth:`PlanStore.gc` and
+#: :meth:`PlanStore.clear` delete them.
 COMPOSED_SUFFIX = ".composed.json"
 
 
 @dataclass
 class StoreStats:
-    """Disk-tier counters (a point-in-time copy is a snapshot).
-
-    The ``composed_*`` fields count the composed-kernel payload blobs
-    (:data:`COMPOSED_SUFFIX` files) separately from plan artifacts, so
-    the warm-restart smokes can assert on each tier independently.
-    """
+    """Disk-tier counters (a point-in-time copy is a snapshot)."""
 
     hits: int = 0
     misses: int = 0
@@ -65,9 +61,6 @@ class StoreStats:
     stores: int = 0
     errors: int = 0
     gc_removed: int = 0
-    composed_hits: int = 0
-    composed_misses: int = 0
-    composed_stores: int = 0
 
     def snapshot(self) -> "StoreStats":
         return StoreStats(
@@ -77,9 +70,6 @@ class StoreStats:
             self.stores,
             self.errors,
             self.gc_removed,
-            self.composed_hits,
-            self.composed_misses,
-            self.composed_stores,
         )
 
 
@@ -170,132 +160,35 @@ class PlanStore:
         return True
 
     # ------------------------------------------------------------------
-    # Composed-kernel payloads (wave composition, PR 9)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _composed_key(algorithm: str, member_keys) -> list[list]:
-        """The JSON-echoable identity a composed blob is stored under."""
-        return [
-            [algorithm],
-            *[
-                [fingerprint, normalized, version]
-                for fingerprint, normalized, version in member_keys
-            ],
-        ]
-
-    def composed_path_for(self, algorithm: str, member_keys) -> Path:
-        """The payload file backing one ordered member-plan tuple."""
-        digest = hashlib.sha256()
-        digest.update(algorithm.encode())
-        for fingerprint, normalized, version in member_keys:
-            digest.update(b"\x02")
-            digest.update(b"\x00" if fingerprint is None else fingerprint.encode())
-            digest.update(b"\x01")
-            digest.update(normalized.encode("utf-8"))
-            digest.update(b"\x01")
-            digest.update(str(version).encode())
-        return self.root / f"{digest.hexdigest()}{COMPOSED_SUFFIX}"
-
-    def load_composed(self, algorithm: str, member_keys) -> dict | None:
-        """The stored composed payload for the member tuple, or ``None``.
-
-        Same durability policy as plan artifacts: unreadable or
-        undecodable files and key-echo mismatches are misses (the caller
-        recomposes and overwrites).
-        """
-        path = self.composed_path_for(algorithm, member_keys)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            self._count("composed_misses")
-            return None
-        except OSError:
-            self._count("composed_misses", "errors")
-            return None
-        try:
-            record = json.loads(raw)
-        except ValueError:
-            self._count("composed_misses", "corrupt")
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("keys") != self._composed_key(algorithm, member_keys)
-            or not isinstance(record.get("payload"), dict)
-        ):
-            self._count("composed_misses", "corrupt")
-            return None
-        self._count("composed_hits")
-        return record["payload"]
-
-    def save_composed(self, algorithm: str, member_keys, payload: dict) -> bool:
-        """Persist one composed payload atomically (best effort)."""
-        path = self.composed_path_for(algorithm, member_keys)
-        record = {
-            "keys": self._composed_key(algorithm, member_keys),
-            "payload": payload,
-        }
-        tmp = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
-        )
-        try:
-            tmp.write_bytes(json.dumps(record).encode("utf-8"))
-            os.replace(tmp, path)
-        except OSError:
-            self._count("errors")
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        self._count("composed_stores")
-        return True
-
-    # ------------------------------------------------------------------
     def gc(self) -> int:
-        """Reclaim artifact files a current-format process can never load.
+        """Reclaim files a current-format process can never load.
 
-        Removes files that fail to decode (corrupt/truncated), carry a
-        stale or future :data:`FORMAT_VERSION` (their keys can never be
-        looked up by this process — they linger forever otherwise), or
-        sit at a path that does not match their own key (moved between
-        stores or digest-colliding).  Healthy current-version artifacts
-        are untouched.  Returns the number removed; each is also counted
-        under ``gc_removed`` in :attr:`stats`.
+        Removes artifact files that fail to decode (corrupt/truncated),
+        carry a stale or future :data:`FORMAT_VERSION` (their keys can
+        never be looked up by this process — they linger forever
+        otherwise), or sit at a path that does not match their own key
+        (moved between stores or digest-colliding), plus every
+        :data:`COMPOSED_SUFFIX` file an older version left behind.
+        Healthy current-version artifacts are untouched.  Returns the
+        number removed; each is also counted under ``gc_removed`` in
+        :attr:`stats`.
         """
-        removed = 0
+        doomed = sorted(self.root.glob(f"*{COMPOSED_SUFFIX}"))
         for path in sorted(self.root.glob(f"*{PLAN_SUFFIX}")):
             try:
                 raw = path.read_bytes()
             except OSError:
                 self._count("errors")
                 continue
-            keep = False
             try:
                 artifact = PlanArtifact.from_bytes(raw)
                 keep = self.path_for(artifact.cache_key()) == path
             except ArtifactError:
                 keep = False
-            if keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                self._count("errors")
-                continue
-            removed += 1
-            self._count("gc_removed")
-        for path in sorted(self.root.glob(f"*{COMPOSED_SUFFIX}")):
-            keep = False
-            try:
-                record = json.loads(path.read_bytes())
-                keys = record["keys"]
-                algorithm = keys[0][0]
-                member_keys = [tuple(row) for row in keys[1:]]
-                keep = self.composed_path_for(algorithm, member_keys) == path
-            except (OSError, ValueError, KeyError, IndexError, TypeError):
-                keep = False
-            if keep:
-                continue
+            if not keep:
+                doomed.append(path)
+        removed = 0
+        for path in doomed:
             try:
                 path.unlink()
             except OSError:
@@ -311,7 +204,7 @@ class PlanStore:
         return sum(1 for _ in self.root.glob(f"*{PLAN_SUFFIX}"))
 
     def clear(self) -> int:
-        """Delete every artifact/composed file; returns how many removed."""
+        """Delete every artifact and leftover composed file; returns the count."""
         removed = 0
         for suffix in (PLAN_SUFFIX, COMPOSED_SUFFIX):
             for path in self.root.glob(f"*{suffix}"):

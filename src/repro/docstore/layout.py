@@ -20,13 +20,16 @@ high-throughput tree engines):
   the parallel ``kid_labels`` slice.  Text children are excluded at
   build time, so the hot loop never re-tests them.
 
-The evaluator (:meth:`repro.hype.core.CompiledPlan.run` with a
-``layout``) walks these arrays instead of :class:`Node` objects and
-keys its child-transition rows by integer label id — a list index
-instead of a string-keyed dict probe.  Per-``(plan, layout)`` rows live
-here (:meth:`DocumentLayout.rows_for`) keyed weakly by plan, because
-label ids are *per-document*: a plain-HyPE plan may outlive this
-document and serve another one whose interning differs.
+The layout is the evaluator's only data path: the descent
+(:func:`repro.hype.kernel.descend`) walks these arrays instead of
+:class:`Node` objects and keys its child-transition rows by integer
+label id — a list index instead of a string-keyed dict probe.  Every
+run gets a covering layout through :func:`layout_for`: the caller's
+when it covers the context, otherwise the tree's current one, derived
+once per freeze.  Per-``(plan, layout)`` rows live here
+(:meth:`DocumentLayout.rows_for`) keyed weakly by plan, because label
+ids are *per-document*: a plain-HyPE plan may outlive this document and
+serve another one whose interning differs.
 
 Layouts are immutable once built, like the frozen trees they describe,
 and therefore freely shared across threads, tenants and lanes.
@@ -37,7 +40,8 @@ from __future__ import annotations
 import threading
 import weakref
 
-from ..xtree.node import Node, XMLTree
+from ..errors import EvaluationError
+from ..xtree.node import Node, XMLTree, tree_of
 
 #: ``node_label`` entry for text (PCDATA) nodes.
 TEXT_ID = -1
@@ -66,8 +70,8 @@ class DocumentLayout:
         # The freeze generation this layout snapshots.  index_tree()
         # re-freezes IN PLACE (the nodes list object is reused), so
         # object identity alone cannot detect a re-frozen tree — the
-        # stamp makes covers() stand down and the evaluator fall back
-        # to the always-correct string path.
+        # stamp makes covers() stand down and layout_for() derive a
+        # fresh layout for the new freeze.
         self._freeze_count = getattr(tree, "freeze_count", 0)
         #: Document-order node list (``nodes[i].node_id == i``) — the
         #: bridge back from columnar ids to the Node objects answers,
@@ -85,6 +89,7 @@ class DocumentLayout:
         #: releases its rows with it.
         self._rows: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._rows_lock = threading.Lock()
+        tree.layout = self
 
     def _build(self) -> None:
         label_ids = self.label_ids
@@ -145,6 +150,7 @@ class DocumentLayout:
         layout.kid_start = kid_start
         layout._rows = weakref.WeakKeyDictionary()
         layout._rows_lock = threading.Lock()
+        tree.layout = layout
         return layout
 
     # ------------------------------------------------------------------
@@ -164,8 +170,8 @@ class DocumentLayout:
         and only for the freeze it snapshotted: a structural edit +
         :func:`repro.xtree.node.index_tree` re-freeze bumps the tree's
         ``freeze_count``, after which this layout stands down (the
-        evaluator falls back to the string path) instead of silently
-        serving the stale structure.
+        evaluator derives a fresh one) instead of silently serving the
+        stale structure.
         """
         if getattr(self.tree, "freeze_count", 0) != self._freeze_count:
             return False
@@ -205,3 +211,42 @@ class DocumentLayout:
             f"DocumentLayout(nodes={len(self.nodes)}, "
             f"labels={len(self.labels)}, kids={len(self.kid_ids)})"
         )
+
+
+_derive_lock = threading.Lock()
+
+
+def layout_for(context: Node, layout: "DocumentLayout | None" = None) -> DocumentLayout:
+    """A layout covering ``context``: ``layout`` itself when it does.
+
+    Otherwise — no layout, a stale one (the tree was re-frozen since)
+    or a foreign one (another document's) — the context tree's current
+    layout serves, built through :class:`DocumentLayout` at most once
+    per freeze.  A layout an :class:`repro.docstore.document.
+    IndexedDocument` built or mmap-loaded registered itself on its tree
+    at construction, so it is found here and never rebuilt.
+    """
+    if layout is not None and layout.covers(context):
+        return layout
+    tree = tree_of(context)
+    current = tree.layout if tree is not None else None
+    if current is not None and current.covers(context):
+        return current
+    with _derive_lock:
+        tree = tree_of(context)
+        if tree is None:
+            # Nodes outliving the XMLTree that froze them: re-freezing
+            # assigns the same ids to an unedited tree.
+            root = context
+            while root.parent is not None:
+                root = root.parent
+            tree = XMLTree(root)
+        current = tree.layout
+        if current is None or current._freeze_count != tree.freeze_count:
+            current = DocumentLayout(tree)
+    if not current.covers(context):
+        raise EvaluationError(
+            "context node is not part of its tree's current freeze; "
+            "re-freeze with index_tree(root, tree) after editing"
+        )
+    return current

@@ -17,14 +17,6 @@ from .core import (
     RunCursor,
     hype_eval,
 )
-from .compose import (
-    ComposedKernel,
-    ComposedOverflow,
-    ComposeError,
-    composed_payload,
-    descend_composed,
-    preload_composed,
-)
 from .index import (
     CompressedLabelIndex,
     LabelBits,
@@ -54,12 +46,6 @@ __all__ = [
     "DenseKernel",
     "descend",
     "kernel_payload",
-    "ComposedKernel",
-    "ComposedOverflow",
-    "ComposeError",
-    "composed_payload",
-    "descend_composed",
-    "preload_composed",
 ]
 
 

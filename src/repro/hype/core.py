@@ -249,14 +249,12 @@ class CompiledPlan:
         (:class:`repro.serve.batch.BatchEvaluator`) drives with N lanes,
         so there is exactly one descent implementation to maintain.
 
-        ``layout`` — a :class:`repro.docstore.layout.DocumentLayout` of
-        the context's document — switches the descent to the dense
-        columnar fast path: per-cfg ``array('i')`` transition rows
-        indexed by interned label id instead of string-keyed dicts.
-        Answers and per-run :class:`HyPEStats` are identical either way
-        (property-tested in ``tests/test_hype_columnar.py`` and
-        ``tests/test_hype_kernel.py``); a layout that does not cover
-        ``context`` falls back to the string path.
+        ``layout`` — optionally, a pre-resolved
+        :class:`repro.docstore.layout.DocumentLayout` of the context's
+        document.  The descent always walks a columnar layout; without
+        one that covers ``context`` (none, stale after a re-freeze, or
+        another document's) it uses the tree's own, derived once per
+        freeze and reused by later runs.
 
         ``deadline`` — an optional :class:`repro.guard.Deadline` — arms
         the descent's cooperative cancellation checkpoint; expiry raises

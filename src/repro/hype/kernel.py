@@ -36,11 +36,9 @@ it on the first requests.
 
 The descent itself — :func:`descend` — is the **single** implementation
 behind both :meth:`repro.hype.core.CompiledPlan.run` (a one-lane batch)
-and :class:`repro.serve.batch.BatchEvaluator` (N lanes, one pass),
-replacing the four hand-mirrored loops that previously had to be edited
-in lockstep.  String and columnar modes are the same loop: only the
-child source (layout kid spans vs. cached element-children lists) and
-the transition probe (array row vs. dict) differ per node.
+and :class:`repro.serve.batch.BatchEvaluator` (N lanes, one pass), and
+it has one data path: every run walks a columnar layout, derived once
+per tree freeze when the caller supplies none that covers its context.
 
 Thread safety follows the plan contract: cfg/edge minting is
 lock-guarded (ids must be unique), every other table is fill-only with
@@ -54,6 +52,7 @@ import threading
 import time
 from array import array
 
+from ..docstore.layout import layout_for
 from ..errors import DeadlineError
 from ..faults import fire as _fault_fire
 from ..guard import CHECK_INTERVAL
@@ -136,8 +135,8 @@ class DenseKernel:
         # list index.
         self.quiet: list = []
         # (cfg, label) -> packed word (plain) or edge word (indexed);
-        # unseen labels are stored both under their own key (so the
-        # string path stays one probe) and under OTHER_LABEL.
+        # unseen labels are stored both under their own key (so a later
+        # document's row fill stays one probe) and under OTHER_LABEL.
         self.trans: dict = {}
         # (base_id, r_id, watch) -> edge id; parallel per-edge tables.
         self.edge_ids: dict = {}
@@ -539,7 +538,6 @@ class _Lane:
     __slots__ = (
         "cursor",
         "kern",
-        "trans",
         "indexed",
         "mask_keys",
         "filters",
@@ -562,19 +560,13 @@ class _Lane:
         kern = plan.kernel
         self.cursor = cursor
         self.kern = kern
-        self.trans = kern.trans
         index = plan.index
         self.indexed = index is not None
         self.mask_keys = index.mask_keys if index is not None else None
         self.filters = kern.edge_filters
-        if layout is not None:
-            self.rows = layout.rows_for(plan)
-            self.labels = layout.labels
-            self.blank = array("i", [UNFILLED]) * layout.num_labels
-        else:
-            self.rows = None
-            self.labels = None
-            self.blank = None
+        self.rows = layout.rows_for(plan)
+        self.labels = layout.labels
+        self.blank = array("i", [UNFILLED]) * layout.num_labels
         self.cfg_mstates = kern.cfg_mstates
         self.visit_nodes = cursor.visit_nodes
         self.nodes_append = cursor.visit_nodes.append
@@ -607,11 +599,12 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     """THE descent loop: one shared pass driving every lane's automaton.
 
     ``lanes`` is a list of ``(plan, cursor)`` pairs; a sequential run is
-    a one-lane batch.  With a covering ``layout`` the pass is columnar
-    (flat kid spans, ``array('i')`` transition rows); otherwise it walks
-    cached element-children lists and the string-keyed table — same
-    visits, same order, same counters either way.  ``shared`` (a
-    :class:`repro.serve.batch.BatchStats`-shaped object) receives the
+    a one-lane batch.  The pass walks a columnar
+    :class:`repro.docstore.layout.DocumentLayout` (flat kid spans,
+    ``array('i')`` transition rows): ``layout`` when it covers
+    ``context``, otherwise the context tree's own layout, derived once
+    per freeze by :func:`repro.docstore.layout.layout_for`.  ``shared``
+    (a :class:`repro.serve.batch.BatchStats`-shaped object) receives the
     shared-pass visit/skip counters when given.
 
     ``deadline`` (a :class:`repro.guard.Deadline`) arms a cooperative
@@ -626,13 +619,10 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     Frames are plain lists ``[node, visit_idx, cfg, trans_true, parent,
     pop_flag, lane, row]`` — the lane and its bound transition row ride
     in the frame, so the per-child loop iterates frames directly with no
-    entry wrappers.  Stack entries are ``[frames, next_kid, kid_end,
-    kids]``.
+    entry wrappers.  Stack entries are ``[frames, next_kid, kid_end]``.
     """
     _fault_fire("descend")
-    if layout is not None and not layout.covers(context):
-        layout = None
-    columnar = layout is not None
+    layout = layout_for(context, layout)
     entries = []
     live = []
     for plan, cursor in lanes:
@@ -658,26 +648,19 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
                 None,
                 packed & POP_BIT,
                 lane,
-                lane.row_for(cfg) if columnar else None,
+                lane.row_for(cfg),
             ]
         )
     if shared is not None:
         shared.visited_elements = 1 if entries else 0
+    nodes = layout.nodes
+    kid_ids = layout.kid_ids
+    kid_labels = layout.kid_labels
+    kid_start = layout.kid_start
     if entries:
-        if columnar:
-            nodes = layout.nodes
-            kid_ids = layout.kid_ids
-            kid_labels = layout.kid_labels
-            kid_start = layout.kid_start
-            cid0 = context.node_id
-            stack = [[entries, kid_start[cid0], kid_start[cid0 + 1], None]]
-        else:
-            nodes = kid_ids = kid_labels = kid_start = None
-            kids0 = context.element_children_cached()
-            stack = [[entries, 0, len(kids0), kids0]]
+        cid0 = context.node_id
+        stack = [[entries, kid_start[cid0], kid_start[cid0 + 1]]]
         stack_append = stack.append
-        label = ""
-        cid = -1
         checks = CHECK_INTERVAL
         deadline_at = None if deadline is None else deadline.expires_at
         perf_counter = time.perf_counter
@@ -721,31 +704,19 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
                         lane.pop_frame(frame, lane.cursor)
                 continue
             top[1] = ki + 1
-            if columnar:
-                lid = kid_labels[ki]
-                cid = kid_ids[ki]
-                child = None
-            else:
-                child = top[3][ki]
-                label = child.label
+            lid = kid_labels[ki]
+            cid = kid_ids[ki]
+            child = None
             survivors = None
             for frame in top[0]:
                 lane = frame[6]
-                cfg = frame[2]
-                if columnar:
-                    packed = frame[7][lid]
-                    if packed == UNFILLED:
-                        packed = lane.fill_row(frame[7], lid, cfg)
-                else:
-                    packed = lane.trans.get((cfg, label), UNFILLED)
-                    if packed == UNFILLED:
-                        packed = lane.kern.lookup_trans(cfg, label)
+                packed = frame[7][lid]
+                if packed == UNFILLED:
+                    packed = lane.fill_row(frame[7], lid, frame[2])
                 if lane.indexed:
                     if packed == DEAD:
                         continue
                     eid = packed >> 1
-                    if child is not None:
-                        cid = child.node_id
                     mask_key = lane.mask_keys[cid]
                     packed = lane.filters[eid].get(mask_key, UNFILLED)
                     if packed == UNFILLED:
@@ -762,13 +733,10 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
                 lane.mstates_append(lane.cfg_mstates[cfg2])
                 if packed & FINAL_BIT:
                     lane.finals_append(child)
-                if columnar:
-                    rows = lane.rows
-                    row2 = rows.get(cfg2)
-                    if row2 is None:
-                        row2 = rows.setdefault(cfg2, lane.blank[:])
-                else:
-                    row2 = None
+                rows = lane.rows
+                row2 = rows.get(cfg2)
+                if row2 is None:
+                    row2 = rows.setdefault(cfg2, lane.blank[:])
                 child_frame = [
                     child,
                     visit_idx,
@@ -786,13 +754,7 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
             if survivors is not None:
                 if shared is not None:
                     shared.visited_elements += 1
-                if columnar:
-                    stack_append(
-                        [survivors, kid_start[cid], kid_start[cid + 1], None]
-                    )
-                else:
-                    kids = child.element_children_cached()
-                    stack_append([survivors, 0, len(kids), kids])
+                stack_append([survivors, kid_start[cid], kid_start[cid + 1]])
             elif shared is not None:
                 shared.skipped_subtrees += 1
     # Writeback: the loop keeps no per-child counters.  A lane examines
@@ -804,14 +766,10 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
         vn = cursor.visit_nodes
         visited = len(vn)
         cursor.visited = visited
-        if columnar:
-            ks = layout.kid_start
-            examined = 0
-            for node in vn:
-                nid = node.node_id
-                examined += ks[nid + 1] - ks[nid]
-        else:
-            examined = sum(len(n.element_children_cached()) for n in vn)
+        examined = 0
+        for node in vn:
+            nid = node.node_id
+            examined += kid_start[nid + 1] - kid_start[nid]
         cursor.skipped = examined - (visited - 1)
         cursor.cans_vertices = sum(map(len, cursor.visit_mstates))
         if lane.resolved:

@@ -161,41 +161,6 @@ def render_prometheus(
     exp.sample(name, snapshot.sequential_visited)
 
     name = exp.family(
-        "composed_groups_total",
-        "counter",
-        "Wave groups stepped as one composed machine.",
-    )
-    exp.sample(name, snapshot.composed_groups)
-    name = exp.family(
-        "composed_lanes_total", "counter", "Lanes advanced composed."
-    )
-    exp.sample(name, snapshot.composed_lanes)
-    name = exp.family(
-        "composed_fallbacks_total",
-        "counter",
-        "Composed groups that hit the ccfg cap and re-ran per-lane.",
-    )
-    exp.sample(name, snapshot.composed_fallbacks)
-    if snapshot.composed is not None:
-        name = exp.family(
-            "composed_cache_ops_total",
-            "counter",
-            "Composed-kernel tier operations by kind.",
-        )
-        for field in fields(snapshot.composed):
-            exp.sample(name, getattr(snapshot.composed, field.name), op=field.name)
-        name = exp.family(
-            "composed_kernels", "gauge", "Composed kernels cached."
-        )
-        exp.sample(name, snapshot.composed_gauges.get("kernels", 0))
-        name = exp.family(
-            "composed_interned_ccfgs",
-            "gauge",
-            "Composed configurations interned across cached kernels.",
-        )
-        exp.sample(name, snapshot.composed_gauges.get("interned_ccfgs", 0))
-
-    name = exp.family(
         "plan_cache_hits_total", "counter", "Plan-cache hits by tier."
     )
     exp.sample(name, snapshot.cache.l1_hits, tier="l1")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hype.compose import ComposedKernel, ComposeError, ComposedOverflow, descend_composed
 from ..hype.core import CompiledPlan, HyPEResult, RunCursor
 from ..hype.kernel import descend
 from ..xtree.node import Node
@@ -39,12 +38,7 @@ from ..xtree.node import Node
 
 @dataclass
 class BatchStats:
-    """Counters of the *shared* pass (per-lane stats live on each result).
-
-    When composed groups run (PR 9), the batch may make several passes —
-    one per composed group plus one per-lane pass for the leftovers —
-    and ``visited_elements``/``skipped_subtrees`` sum over those passes.
-    """
+    """Counters of the *shared* pass (per-lane stats live on each result)."""
 
     #: Lanes in the batch (live or not at the root).
     lanes: int = 0
@@ -54,12 +48,6 @@ class BatchStats:
     skipped_subtrees: int = 0
     #: Sum of per-lane visited elements == cost of N sequential passes.
     sequential_visited: int = 0
-    #: Groups stepped as ONE composed machine this batch.
-    composed_groups: int = 0
-    #: Lanes advanced by a composed kernel (the rest step per-lane).
-    composed_lanes: int = 0
-    #: Groups that hit the ccfg cap mid-wave and re-ran per-lane.
-    composed_fallbacks: int = 0
 
     @property
     def saved_visits(self) -> int:
@@ -69,17 +57,10 @@ class BatchStats:
 
 @dataclass
 class BatchResult:
-    """Per-lane results (input order) plus the shared-pass counters.
-
-    ``composed`` holds the lane indices that were actually advanced by a
-    composed kernel this run (a group that fell back past the ccfg cap
-    contributes none), keyed so callers can attribute per-request trace
-    spans to the path that really served them.
-    """
+    """Per-lane results (input order) plus the shared-pass counters."""
 
     results: list[HyPEResult]
     stats: BatchStats = field(default_factory=BatchStats)
-    composed: frozenset = frozenset()
 
     def __iter__(self):
         return iter(self.results)
@@ -96,20 +77,9 @@ class BatchEvaluator:
     prunes with its own machinery, and one plan object may back several
     lanes (its memo tables are shared and thread-safe).  Passing a raw
     MFA was deprecated with the plan/run-state split: compile it first.
-
-    ``groups`` (lists of lane indices, disjoint, each >= 2 lanes) routes
-    those lanes through ONE :class:`repro.hype.compose.ComposedKernel`
-    pass — the caller (the service) groups by (view fingerprint,
-    algorithm, document) so members share state structure.  ``composer``
-    optionally supplies the kernel for a member list (the service's
-    composed-cache hook); without it a throwaway kernel is built per
-    run.  A group that overflows the ccfg cap mid-wave discards its
-    partial cursors and re-runs per-lane — counted in
-    ``BatchStats.composed_fallbacks``, and per-lane answers/stats stay
-    identical either way.
     """
 
-    def __init__(self, plans: list[CompiledPlan], *, groups=None, composer=None) -> None:
+    def __init__(self, plans: list[CompiledPlan]) -> None:
         if not plans:
             raise ValueError("BatchEvaluator needs at least one plan")
         for plan in plans:
@@ -120,35 +90,18 @@ class BatchEvaluator:
                     f"CompiledPlan(mfa) — got {type(plan).__name__!r}"
                 )
         self.plans = list(plans)
-        self.composer = composer
-        self.groups: list[tuple[int, ...]] = []
-        if groups:
-            seen: set[int] = set()
-            for group in groups:
-                members = tuple(group)
-                if len(members) < 2:
-                    continue  # nothing to compose; lane steps per-lane
-                for idx in members:
-                    if not 0 <= idx < len(self.plans):
-                        raise ValueError(f"composed group index {idx} out of range")
-                    if idx in seen:
-                        raise ValueError(f"lane {idx} appears in two composed groups")
-                    seen.add(idx)
-                self.groups.append(members)
 
     # ------------------------------------------------------------------
     def run(self, context: Node, layout=None, deadline=None) -> BatchResult:
         """Evaluate every lane's ``context[[M]]`` in one shared pass.
 
-        With a ``layout`` (the context document's columnar
-        :class:`repro.docstore.layout.DocumentLayout`) the shared pass
-        runs the dense columnar fast path — flat kid spans and per-cfg
-        ``array('i')`` transition rows per lane; without one it walks
-        cached element-children lists.  Either way the pass is the one
-        shared :func:`repro.hype.kernel.descend` loop, and per-lane
-        answers and stats are identical to N sequential runs.  A lane
-        dead at the root never enters the pass (the sequential run
-        returns the all-zero result immediately).
+        The pass is the one shared :func:`repro.hype.kernel.descend`
+        loop over a columnar
+        :class:`repro.docstore.layout.DocumentLayout` — ``layout`` when
+        given pre-resolved and covering ``context``, else the context
+        tree's own — and per-lane answers and stats are identical to N
+        sequential runs.  A lane dead at the root never enters the pass
+        (the sequential run returns the all-zero result immediately).
 
         ``deadline`` (a :class:`repro.guard.Deadline`) arms the kernel's
         cooperative cancellation checkpoint: an expired pass raises
@@ -157,49 +110,13 @@ class BatchEvaluator:
         """
         stats = BatchStats(lanes=len(self.plans))
         cursors = [RunCursor(plan) for plan in self.plans]
-        leftover = set(range(len(self.plans)))
-        composed_lanes: set[int] = set()
-        for group in self.groups:
-            members = [self.plans[i] for i in group]
-            try:
-                if self.composer is not None:
-                    kernel = self.composer(members)
-                else:
-                    kernel = ComposedKernel(members)
-            except ComposeError:
-                continue  # mixed family slipped through grouping: per-lane
-            except ComposedOverflow:
-                stats.composed_fallbacks += 1
-                continue
-            pass_stats = BatchStats()
-            try:
-                descend_composed(
-                    kernel,
-                    [cursors[i] for i in group],
-                    context,
-                    layout,
-                    shared=pass_stats,
-                    deadline=deadline,
-                )
-            except ComposedOverflow:
-                # The product blew past the ccfg cap mid-wave: discard the
-                # partial cursors and let the group re-run per-lane below.
-                stats.composed_fallbacks += 1
-                for i in group:
-                    cursors[i] = RunCursor(self.plans[i])
-                continue
-            stats.visited_elements += pass_stats.visited_elements
-            stats.skipped_subtrees += pass_stats.skipped_subtrees
-            stats.composed_groups += 1
-            stats.composed_lanes += len(group)
-            composed_lanes.update(group)
-            leftover.difference_update(group)
-        if leftover:
-            lanes = [(self.plans[i], cursors[i]) for i in sorted(leftover)]
-            pass_stats = BatchStats()
-            descend(lanes, context, layout, shared=pass_stats, deadline=deadline)
-            stats.visited_elements += pass_stats.visited_elements
-            stats.skipped_subtrees += pass_stats.skipped_subtrees
+        descend(
+            list(zip(self.plans, cursors)),
+            context,
+            layout,
+            shared=stats,
+            deadline=deadline,
+        )
         results = [cursor.finish() for cursor in cursors]
         stats.sequential_visited = sum(r.stats.visited_elements for r in results)
-        return BatchResult(results, stats, frozenset(composed_lanes))
+        return BatchResult(results, stats)

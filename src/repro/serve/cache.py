@@ -42,13 +42,6 @@ from ..automata.mfa import MFA
 from ..compile.artifact import PlanArtifact, PlanKey
 from ..compile.pipeline import NormalizedQuery, QueryCompiler
 from ..compile.store import PlanStore
-from ..hype.compose import (
-    DEFAULT_CCFG_CAP,
-    ComposedKernel,
-    ComposedOverflow,
-    composed_payload,
-    preload_composed,
-)
 from ..hype.core import CompiledPlan
 from ..obs.trace import span
 from ..views.spec import ViewSpec
@@ -193,190 +186,6 @@ class CacheStats:
         return CacheStats(self.hits, self.misses, self.evictions, self.l2_hits)
 
 
-@dataclass
-class ComposedStats:
-    """Composed-tier counters (a copy is a snapshot).
-
-    ``builds`` counts kernels composed (or recomposed) in this process;
-    ``rehydrated`` counts builds whose transition tables were preloaded
-    from a persisted payload instead of recomposed; ``persisted`` counts
-    payload write-backs.  Cap overflows surface as
-    ``composed_fallbacks`` on the batch/service side, not here — the
-    cache never serves a partially-stepped kernel.
-    """
-
-    builds: int = 0
-    hits: int = 0
-    rehydrated: int = 0
-    persisted: int = 0
-    evictions: int = 0
-
-    def snapshot(self) -> "ComposedStats":
-        return ComposedStats(
-            self.builds,
-            self.hits,
-            self.rehydrated,
-            self.persisted,
-            self.evictions,
-        )
-
-
-class _ComposedEntry:
-    __slots__ = ("kernel", "member_ids", "persisted_shape")
-
-    def __init__(self, kernel, member_ids, persisted_shape=None) -> None:
-        self.kernel = kernel
-        self.member_ids = member_ids
-        self.persisted_shape = persisted_shape
-
-
-class ComposedCache:
-    """The composed-plan tier: LRU of :class:`ComposedKernel` per wave shape.
-
-    Keyed by ``(algorithm, document, ordered member plan fingerprints)``
-    — the service canonicalises member order by fingerprint, so the key
-    is the ISSUE's sorted tuple.  Entries pin the member plan *objects*
-    they were composed from (kernels reference member tables): a lookup
-    whose members changed identity (the plan LRU evicted and recompiled
-    one) rebuilds rather than serving a stale product.
-
-    Plain-family kernels are document-independent and persistable: a
-    build first tries :meth:`repro.compile.store.PlanStore.load_composed`
-    (a warm restart skips recomposition), and :meth:`persist` writes the
-    hot tables back after a composed run grew them.  Index-equipped
-    kernels embed per-document mask rows — cached, never persisted.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 64,
-        max_ccfgs: int = DEFAULT_CCFG_CAP,
-        store: PlanStore | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"composed capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.max_ccfgs = max_ccfgs
-        self.store = store
-        self._entries: OrderedDict[tuple, _ComposedEntry] = OrderedDict()
-        self._lock = threading.Lock()
-        self._stats = ComposedStats()
-
-    # ------------------------------------------------------------------
-    def kernel_for(
-        self,
-        members: list[CompiledPlan],
-        member_keys: tuple,
-        algorithm: str,
-        doc_key: str | None = None,
-    ) -> ComposedKernel:
-        """The composed kernel for one ordered member-plan tuple.
-
-        Raises :class:`repro.hype.compose.ComposeError` for mixed
-        families (the batch steps those lanes per-lane) — never raises
-        :class:`ComposedOverflow` itself; overflow happens mid-descent
-        and is handled by :meth:`repro.serve.batch.BatchEvaluator.run`.
-        """
-        key = (algorithm, doc_key, tuple(member_keys))
-        member_ids = tuple(id(plan) for plan in members)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.member_ids == member_ids:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return entry.kernel
-            kernel = ComposedKernel(members, max_ccfgs=self.max_ccfgs)
-            self._stats.builds += 1
-            persisted_shape = None
-            if self.store is not None and not kernel.indexed:
-                payload = self.store.load_composed(algorithm, member_keys)
-                if payload is not None:
-                    try:
-                        installed = preload_composed(kernel, payload)
-                    except ComposedOverflow:
-                        # The payload outgrew this cap: recompose fresh.
-                        kernel = ComposedKernel(members, max_ccfgs=self.max_ccfgs)
-                        installed = 0
-                    if installed:
-                        self._stats.rehydrated += 1
-                        persisted_shape = (
-                            len(payload["ccfgs"]),
-                            len(payload["trans"]),
-                        )
-            self._entries[key] = _ComposedEntry(
-                kernel, member_ids, persisted_shape
-            )
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-            return kernel
-
-    def persist(
-        self,
-        member_keys: tuple,
-        algorithm: str,
-        doc_key: str | None = None,
-    ) -> bool:
-        """Write the cached kernel's tables back if they grew.
-
-        Idempotent per table shape: a warm restart whose preloaded
-        closure already covers the traffic never rewrites the blob —
-        the compose-smoke asserts exactly that (zero recompositions).
-        """
-        if self.store is None:
-            return False
-        key = (algorithm, doc_key, tuple(member_keys))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.kernel.indexed:
-                return False
-            kernel = entry.kernel
-            persisted_shape = entry.persisted_shape
-        payload = composed_payload(kernel)
-        shape = (len(payload["ccfgs"]), len(payload["trans"]))
-        if persisted_shape == shape:
-            return False
-        if not self.store.save_composed(algorithm, member_keys, payload):
-            return False
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.kernel is kernel:
-                entry.persisted_shape = shape
-            self._stats.persisted += 1
-        return True
-
-    # ------------------------------------------------------------------
-    def gauges(self) -> dict:
-        """Point-in-time composed-tier gauges (kernel/ccfg occupancy)."""
-        with self._lock:
-            kernels = len(self._entries)
-            ccfgs = sum(
-                entry.kernel.interned_ccfgs
-                for entry in self._entries.values()
-            )
-            preloaded = sum(
-                entry.kernel.preloaded for entry in self._entries.values()
-            )
-        return {
-            "kernels": kernels,
-            "interned_ccfgs": ccfgs,
-            "preloaded_trans": preloaded,
-        }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def stats(self) -> ComposedStats:
-        with self._lock:
-            return self._stats.snapshot()
-
-
 class PlanCache:
     """A bounded LRU of compiled plans over an optional disk tier.
 
@@ -396,8 +205,6 @@ class PlanCache:
         capacity: int = 256,
         store: PlanStore | None = None,
         compiler: QueryCompiler | None = None,
-        composed_capacity: int = 64,
-        composed_max_ccfgs: int = DEFAULT_CCFG_CAP,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
@@ -409,11 +216,6 @@ class PlanCache:
         self._stats = CacheStats()
         #: key -> gate lock held by the thread currently resolving it.
         self._resolving: dict[Hashable, threading.Lock] = {}
-        #: The composed-plan tier (wave composition, PR 9) — shares the
-        #: disk store so warm restarts rehydrate composed tables too.
-        self.composed = ComposedCache(
-            composed_capacity, composed_max_ccfgs, store=store
-        )
 
     # ------------------------------------------------------------------
     # The compilation-aware two-tier lookup

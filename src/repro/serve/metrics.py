@@ -17,7 +17,7 @@ from ..compile.pipeline import CompileStats
 from ..compile.store import StoreStats
 from ..docstore.store import DocStoreStats
 from ..obs.hist import Histogram
-from .cache import CacheStats, ComposedStats
+from .cache import CacheStats
 
 
 def _stats_fields(stats) -> dict:
@@ -145,15 +145,6 @@ class MetricsSnapshot:
     #: Document-tier counters (shared store's when one is wired, the
     #: service's own document otherwise); ``None`` on old snapshots.
     doc_store: DocStoreStats | None = None
-    #: Wave-composition batch counters (groups stepped as ONE machine).
-    composed_groups: int = 0
-    composed_lanes: int = 0
-    composed_fallbacks: int = 0
-    #: Composed-tier cache counters; ``None`` when composition is off.
-    composed: ComposedStats | None = None
-    #: Composed-tier occupancy gauges (kernels / interned ccfgs /
-    #: preloaded transitions) at snapshot time.
-    composed_gauges: dict = field(default_factory=dict)
 
     @property
     def doc_hits(self) -> int:
@@ -184,26 +175,6 @@ class MetricsSnapshot:
     def batch_saved_visits(self) -> int:
         """Element visits batching avoided vs. per-query passes."""
         return self.sequential_visited - self.batch_visited
-
-    @property
-    def composed_builds(self) -> int:
-        """Composed kernels built (or rebuilt) this process."""
-        return self.composed.builds if self.composed is not None else 0
-
-    @property
-    def composed_hits(self) -> int:
-        """Composed-kernel lookups served from the LRU tier."""
-        return self.composed.hits if self.composed is not None else 0
-
-    @property
-    def composed_rehydrated(self) -> int:
-        """Composed builds preloaded from a persisted payload."""
-        return self.composed.rehydrated if self.composed is not None else 0
-
-    @property
-    def interned_ccfgs(self) -> int:
-        """Composed configurations interned across cached kernels."""
-        return int(self.composed_gauges.get("interned_ccfgs", 0))
 
     @property
     def mean_wave_size(self) -> float:
@@ -301,22 +272,6 @@ class MetricsSnapshot:
                 f"sequential element(s) "
                 f"(saved {self.batch_saved_visits})"
             )
-        if self.composed is not None and (
-            self.composed_builds or self.composed_hits or self.composed_groups
-        ):
-            gauges = self.composed_gauges
-            lines.append(
-                f"composition: {self.composed_lanes} lane(s) in "
-                f"{self.composed_groups} composed group(s), "
-                f"{self.composed_fallbacks} fallback(s); tier: "
-                f"{self.composed_builds} build(s), "
-                f"{self.composed_hits} hit(s), "
-                f"{self.composed_rehydrated} rehydrated, "
-                f"{self.composed.persisted} persisted, "
-                f"{self.composed.evictions} eviction(s); "
-                f"{gauges.get('kernels', 0)} kernel(s) holding "
-                f"{gauges.get('interned_ccfgs', 0)} interned ccfg(s)"
-            )
         if self.pool_size:
             lines.append(
                 f"evaluation pool: size {self.pool_size}, "
@@ -345,19 +300,6 @@ class MetricsSnapshot:
             "batched_queries": self.batched_queries,
             "batch_visited": self.batch_visited,
             "sequential_visited": self.sequential_visited,
-            "composed_groups": self.composed_groups,
-            "composed_lanes": self.composed_lanes,
-            "composed_fallbacks": self.composed_fallbacks,
-            "composed_builds": self.composed_builds,
-            "composed_hits": self.composed_hits,
-            "composed_rehydrated": self.composed_rehydrated,
-            "interned_ccfgs": self.interned_ccfgs,
-            "composed": None
-            if self.composed is None
-            else {
-                **_stats_fields(self.composed),
-                "gauges": dict(self.composed_gauges),
-            },
             "latency": self.latency.as_dict(),
             "queue_wait": self.queue_wait.as_dict(),
             "in_flight_evaluations": self.in_flight_evaluations,
@@ -407,9 +349,6 @@ class ServiceMetrics:
         self._batched_queries = 0
         self._batch_visited = 0
         self._sequential_visited = 0
-        self._composed_groups = 0
-        self._composed_lanes = 0
-        self._composed_fallbacks = 0
         self._waves = 0
         self._wave_requests = 0
         self._wave_admitted = 0
@@ -468,23 +407,13 @@ class ServiceMetrics:
                 self._largest_wave = size
 
     def record_batch(
-        self,
-        queries: int,
-        visited: int,
-        sequential_visited: int,
-        *,
-        composed_groups: int = 0,
-        composed_lanes: int = 0,
-        composed_fallbacks: int = 0,
+        self, queries: int, visited: int, sequential_visited: int
     ) -> None:
         with self._lock:
             self._batch_runs += 1
             self._batched_queries += queries
             self._batch_visited += visited
             self._sequential_visited += sequential_visited
-            self._composed_groups += composed_groups
-            self._composed_lanes += composed_lanes
-            self._composed_fallbacks += composed_fallbacks
 
     # ------------------------------------------------------------------
     def snapshot(
@@ -497,8 +426,6 @@ class ServiceMetrics:
         in_flight: int = 0,
         peak_in_flight: int = 0,
         pool_size: int = 0,
-        composed: ComposedStats | None = None,
-        composed_gauges: dict | None = None,
     ) -> MetricsSnapshot:
         """Counters + the caller-supplied cache/compile/store/pool gauges."""
         with self._lock:
@@ -526,9 +453,4 @@ class ServiceMetrics:
                 compile=compile or CompileStats(),
                 store=store,
                 doc_store=doc_store,
-                composed_groups=self._composed_groups,
-                composed_lanes=self._composed_lanes,
-                composed_fallbacks=self._composed_fallbacks,
-                composed=composed,
-                composed_gauges=dict(composed_gauges or {}),
             )

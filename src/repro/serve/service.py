@@ -172,16 +172,9 @@ class QueryService:
         document_store: DocumentStore | None = None,
         pool: ExecutionPool | None = None,
         pool_size: int = DEFAULT_POOL_SIZE,
-        compose: bool = False,
     ) -> None:
         if default_algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {default_algorithm!r}")
-        #: Wave composition (PR 9): groups of >= 2 lanes sharing
-        #: (view fingerprint, algorithm, document) step as ONE composed
-        #: machine through the cache's composed tier.  Off by default —
-        #: per-lane answers are identical either way; the flag trades
-        #: per-wave composition work for sublinear batch stepping.
-        self.compose = compose
         # The document tier: every request path works over a shared
         # IndexedDocument (columnar layout for the hot loop, OptHyPE
         # indexes built exactly once).  With a ``document_store`` the
@@ -630,9 +623,6 @@ class QueryService:
         lanes_total = 0
         visited_total = 0
         skipped_total = 0
-        composed_groups_total = 0
-        composed_lanes_total = 0
-        composed_fallbacks_total = 0
         for doc_hash, indices in groups.items():
             group = [grants[index] for index in indices]
             group_contexts = (
@@ -648,9 +638,6 @@ class QueryService:
             lanes_total += group_stats.lanes
             visited_total += group_stats.visited_elements
             skipped_total += group_stats.skipped_subtrees
-            composed_groups_total += group_stats.composed_groups
-            composed_lanes_total += group_stats.composed_lanes
-            composed_fallbacks_total += group_stats.composed_fallbacks
         stats = BatchStats(
             lanes=lanes_total,
             visited_elements=visited_total,
@@ -660,17 +647,9 @@ class QueryService:
                 for answer in answers
                 if not isinstance(answer, ReproError)
             ),
-            composed_groups=composed_groups_total,
-            composed_lanes=composed_lanes_total,
-            composed_fallbacks=composed_fallbacks_total,
         )
         self.metrics.record_batch(
-            len(grants),
-            stats.visited_elements,
-            stats.sequential_visited,
-            composed_groups=stats.composed_groups,
-            composed_lanes=stats.composed_lanes,
-            composed_fallbacks=stats.composed_fallbacks,
+            len(grants), stats.visited_elements, stats.sequential_visited
         )
         return answers, stats
 
@@ -753,40 +732,22 @@ class QueryService:
         resolve_end = time.perf_counter()
         lane_of: dict[int, int] = {}
         lanes = []
-        lane_meta: list = []
         request_lane: list[int] = []
         for grant in grants:
-            binding, algo, plan = grant[1], grant[2], grant[3]
+            algo, plan = grant[2], grant[3]
             compiled = plan.compiled(algo, doc.tree, doc)
             lane = lane_of.get(id(compiled))
             if lane is None:
                 lane = lane_of[id(compiled)] = len(lanes)
                 lanes.append(compiled)
-                artifact = plan.artifact
-                if artifact is None:
-                    # Plans inserted through the generic put API carry no
-                    # fingerprint to key a composed kernel under.
-                    lane_meta.append(None)
-                else:
-                    view_fp = (
-                        self._views[binding.view].fingerprint()
-                        if binding.view is not None
-                        else None
-                    )
-                    lane_meta.append((algo, view_fp, artifact.cache_key()))
             request_lane.append(lane)
-        groups, composer, group_width = self._compose_groups(
-            lanes, lane_meta, doc
-        )
         pooled = self.pool.execute(
-            lambda: BatchEvaluator(lanes, groups=groups, composer=composer).run(
+            lambda: BatchEvaluator(lanes).run(
                 doc.tree.root, layout=doc.layout, deadline=deadline
             ),
             deadline=deadline,
         )
         outcome = pooled.result
-        if groups:
-            self._persist_composed(groups, lane_meta, doc)
         # Attribute the shared pass evenly across the batched requests.
         wait_share = pooled.queue_wait / len(grants)
         eval_share = pooled.eval_seconds / len(grants)
@@ -823,8 +784,6 @@ class QueryService:
                     lane=lane,
                     answers=len(result.answers),
                     visited=outcome.stats.visited_elements,
-                    composed=lane in outcome.composed,
-                    composed_width=group_width.get(lane, 0),
                 )
             self.metrics.record_request(
                 request.tenant, wait_share, eval_share, len(result.answers)
@@ -852,9 +811,6 @@ class QueryService:
             sequential_visited=sum(
                 a.stats.visited_elements for a in answers
             ),
-            composed_groups=outcome.stats.composed_groups,
-            composed_lanes=outcome.stats.composed_lanes,
-            composed_fallbacks=outcome.stats.composed_fallbacks,
         )
         return answers, stats
 
@@ -946,66 +902,6 @@ class QueryService:
         )
         return answers, stats
 
-    def _compose_groups(self, lanes, lane_meta, doc):
-        """Plan the wave's composed groups (lanes sharing a family).
-
-        Lanes group by ``(algorithm, view fingerprint)`` — the document
-        is fixed per group call — and each group's member order is
-        canonicalised by plan fingerprint, so the composed tier's key
-        (the ordered member-fingerprint tuple) is the sorted tuple and
-        one kernel serves every arrival order of the same wave shape.
-        """
-        if not self.compose or len(lanes) < 2:
-            return [], None, {}
-        by_family: dict = {}
-        for lane, meta in enumerate(lane_meta):
-            if meta is None:
-                continue
-            by_family.setdefault((meta[0], meta[1]), []).append(lane)
-        groups: list[tuple[int, ...]] = []
-        group_width: dict[int, int] = {}
-        for members in by_family.values():
-            if len(members) < 2:
-                continue
-            # Fingerprints within a family share the view component, so
-            # ordering on (normalized query, version) is total.
-            members.sort(key=lambda lane: lane_meta[lane][2][1:])
-            groups.append(tuple(members))
-            for lane in members:
-                group_width[lane] = len(members)
-        if not groups:
-            return [], None, {}
-        meta_of = {
-            id(lanes[lane]): lane_meta[lane]
-            for group in groups
-            for lane in group
-        }
-        composed_cache = self.cache.composed
-        doc_key = doc.content_hash
-
-        def composer(members):
-            metas = [meta_of[id(plan)] for plan in members]
-            return composed_cache.kernel_for(
-                members,
-                tuple(meta[2] for meta in metas),
-                metas[0][0],
-                doc_key=doc_key,
-            )
-
-        return groups, composer, group_width
-
-    def _persist_composed(self, groups, lane_meta, doc) -> None:
-        """Write grown plain-family composed tables back to the store."""
-        composed_cache = self.cache.composed
-        if composed_cache.store is None:
-            return
-        for group in groups:
-            composed_cache.persist(
-                tuple(lane_meta[lane][2] for lane in group),
-                lane_meta[group[0]][0],
-                doc_key=doc.content_hash,
-            )
-
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Counters + cache/compile stats + pool gauges at this instant."""
@@ -1026,6 +922,4 @@ class QueryService:
             in_flight=self.pool.in_flight,
             peak_in_flight=self.pool.peak_in_flight,
             pool_size=self.pool.size,
-            composed=self.cache.composed.stats,
-            composed_gauges=self.cache.composed.gauges(),
         )

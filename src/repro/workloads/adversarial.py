@@ -118,7 +118,6 @@ def build_adversarial_service(
     plan_store=None,
     document_store=None,
     pool_size: int | None = None,
-    compose: bool = False,
 ):
     """Build the service under attack; returns ``(service, hashes)``.
 
@@ -140,7 +139,6 @@ def build_adversarial_service(
         document,
         plan_store=plan_store,
         document_store=document_store,
-        compose=compose,
         **kwargs,
     )
     hashes = {"hospital": service.default_document_hash}

@@ -116,7 +116,6 @@ def build_multidoc_service(
     plan_store=None,
     document_store=None,
     pool_size: int | None = None,
-    compose: bool = False,
 ):
     """Build the two-document service; returns ``(service, hashes)``.
 
@@ -138,7 +137,6 @@ def build_multidoc_service(
         default_algorithm=cfg.algorithm,
         plan_store=plan_store,
         document_store=document_store,
-        compose=compose,
         **kwargs,
     )
     hashes = {HOSPITAL: service.default_document_hash}

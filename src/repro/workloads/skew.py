@@ -7,7 +7,7 @@ a Zipf distribution — rank 0 is the *hot* document that almost every
 tenant hammers, the tail documents see occasional traffic.  The stream
 stresses exactly the machinery a hot key stresses in production: the
 document store's hit accounting, admission waves that pile many lanes
-onto one document (prime composition fodder — same view, same document),
+onto one document (many same-view lanes sharing one pass),
 and the fleet's consistent-hash ring, which by construction routes the
 hot key to ONE worker.
 
@@ -90,15 +90,14 @@ def build_skew_service(
     plan_store=None,
     document_store=None,
     pool_size: int | None = None,
-    compose: bool = False,
 ):
     """Build the hot-document service; returns ``(service, hashes)``.
 
     ``hashes`` maps document names (:func:`document_names` order) to
     content hashes.  Every research tenant shares ONE registered ``σ0``
     view and may reach every document — the skew lives in the *stream*,
-    not the catalog — so waves that pile onto the hot document present
-    same-view lane families the composed path can fuse.
+    not the catalog — so waves that pile onto the hot document share
+    one pass across many same-view lanes.
     """
     from ..serve.service import QueryService
 
@@ -112,7 +111,6 @@ def build_skew_service(
         documents[names[0]],
         plan_store=plan_store,
         document_store=document_store,
-        compose=compose,
         **kwargs,
     )
     hashes = {names[0]: service.default_document_hash}

@@ -14,6 +14,7 @@ read-only document trees SMOQE evaluates over.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Optional
 
 #: Pseudo-label used for text (PCDATA) nodes.
@@ -161,7 +162,7 @@ class XMLTree:
     document-order list of nodes (``nodes[i].node_id == i``).
     """
 
-    __slots__ = ("root", "nodes", "labels", "freeze_count")
+    __slots__ = ("root", "nodes", "labels", "freeze_count", "layout", "__weakref__")
 
     def __init__(self, root: Node) -> None:
         self.root = root
@@ -171,6 +172,10 @@ class XMLTree:
         #: one freeze (e.g. a columnar DocumentLayout) record it and
         #: stand down when the tree has been re-frozen since.
         self.freeze_count = 0
+        #: The most recently built columnar layout of this tree (set by
+        #: :class:`repro.docstore.layout.DocumentLayout`); it serves only
+        #: while its freeze stamp matches ``freeze_count``.
+        self.layout = None
         index_tree(root, self)
 
     # ------------------------------------------------------------------
@@ -203,6 +208,23 @@ class XMLTree:
         return f"XMLTree(root={self.root.label}, size={self.size})"
 
 
+#: ``id(root)`` -> the live :class:`XMLTree` that froze it.  Weak
+#: values: a dropped tree leaves no entry, and while the tree lives its
+#: root does too, so the id cannot be reused under a live entry.
+_TREES: "weakref.WeakValueDictionary[int, XMLTree]" = weakref.WeakValueDictionary()
+
+
+def tree_of(node: Node) -> Optional[XMLTree]:
+    """The live :class:`XMLTree` whose freeze ``node`` belongs to, if any."""
+    root = node
+    while root.parent is not None:
+        root = root.parent
+    tree = _TREES.get(id(root))
+    if tree is not None and tree.root is root:
+        return tree
+    return None
+
+
 def index_tree(root: Node, tree: Optional[XMLTree] = None) -> None:
     """Assign ``node_id``, ``parent`` and ``depth`` in document order.
 
@@ -213,6 +235,7 @@ def index_tree(root: Node, tree: Optional[XMLTree] = None) -> None:
         tree.nodes.clear()
         tree.labels.clear()
         tree.freeze_count = getattr(tree, "freeze_count", 0) + 1
+        _TREES[id(root)] = tree
     counter = 0
     stack: list[tuple[Node, Optional[Node], int]] = [(root, None, 0)]
     while stack:

@@ -1,52 +1,75 @@
-"""Columnar-path equivalence: the interned hot loop changes nothing.
+"""The columnar layout is the only data path — and it gives the paper's answers.
 
-The acceptance property of the layout fast path: for ANY document and
-ANY query, evaluating through the columnar tables (interned label ids,
-flattened kid spans, int-keyed child rows) returns byte-identical
-answers AND byte-identical per-run :class:`HyPEStats` to the
-string-label path — across all three algorithm variants, sequentially
-and batched, and through the full service stack.
+Every run walks a :class:`repro.docstore.layout.DocumentLayout`: the
+caller's when it covers the context, otherwise the tree's own, derived
+once per freeze.  For ANY document and ANY query the answers must match
+the reference evaluator (:func:`repro.xpath.evaluator.evaluate`) across
+all three algorithm variants, sequentially and batched, from the root
+and from subtree contexts — and a pre-resolved layout must be
+indistinguishable from a derived one, down to the per-run
+:class:`HyPEStats`.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from repro.docstore import DocumentStore, IndexedDocument
+from repro.docstore import DocumentLayout, DocumentStore, IndexedDocument
+from repro.errors import EvaluationError
 from repro.hype.api import ALGORITHMS, OPTHYPE, compile_plan
 from repro.serve.batch import BatchEvaluator
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.workloads.queries import FIG8
+from repro.xpath.evaluator import evaluate
+from repro.xpath.parser import parse_query
+from repro.xtree.build import document, element
+from repro.xtree.node import Node, index_tree
 from repro.xtree.serialize import serialize
 
 from .strategies import paths, trees
 
 
+@pytest.fixture()
+def layout_builds(monkeypatch):
+    """Count ``DocumentLayout`` constructions (tree walks) in the test."""
+    builds = []
+    init = DocumentLayout.__init__
+
+    def counting_init(self, tree):
+        builds.append(tree)
+        init(self, tree)
+
+    monkeypatch.setattr(DocumentLayout, "__init__", counting_init)
+    return builds
+
+
 @given(trees(), paths())
 @settings(max_examples=60, deadline=None)
-def test_columnar_run_is_identical_to_string_run(tree, query):
+def test_run_matches_reference_evaluator(tree, query):
+    expected = evaluate(query, tree.root)
     doc = IndexedDocument(tree)
     for algorithm in ALGORITHMS:
         plan = compile_plan(query, algorithm=algorithm, tree=tree)
-        string_path = plan.run(tree.root)
-        columnar = plan.run(tree.root, layout=doc.layout)
-        assert columnar.answers == string_path.answers
-        assert columnar.stats == string_path.stats
+        derived = plan.run(tree.root)
+        resolved = plan.run(tree.root, layout=doc.layout)
+        assert derived.answers == expected
+        assert resolved.answers == expected
+        assert resolved.stats == derived.stats
 
 
 @given(trees(), paths(max_leaves=5), paths(max_leaves=5))
 @settings(max_examples=40, deadline=None)
-def test_columnar_batch_is_identical_to_string_batch(tree, first, second):
+def test_batch_matches_reference_evaluator(tree, first, second):
     doc = IndexedDocument(tree)
     plans = [
         compile_plan(first, algorithm="hype"),
         compile_plan(second, algorithm="opthype-c", tree=tree),
     ]
-    string_path = BatchEvaluator(plans).run(tree.root)
-    columnar = BatchEvaluator(plans).run(tree.root, layout=doc.layout)
-    assert string_path.stats == columnar.stats
-    for a, b in zip(string_path.results, columnar.results):
-        assert a.answers == b.answers
+    derived = BatchEvaluator(plans).run(tree.root)
+    resolved = BatchEvaluator(plans).run(tree.root, layout=doc.layout)
+    assert derived.stats == resolved.stats
+    for query, a, b in zip((first, second), derived.results, resolved.results):
+        assert a.answers == b.answers == evaluate(query, tree.root)
         assert a.stats == b.stats
 
 
@@ -60,18 +83,16 @@ def test_columnar_subtree_contexts_agree(tree, query):
     for context in contexts:
         a = plan.run(context)
         b = plan.run(context, layout=doc.layout)
-        assert a.answers == b.answers
+        assert a.answers == b.answers == evaluate(query, context)
         assert a.stats == b.stats
 
 
-def test_refrozen_tree_invalidates_the_layout():
+def test_refrozen_tree_invalidates_the_layout(layout_builds):
     """Regression: index_tree re-freezes IN PLACE (same nodes list
     object), so a stale layout used to keep passing covers() and the
     columnar path silently dropped nodes added by the documented
-    edit + re-freeze protocol."""
-    from repro.xtree.build import document, element
-    from repro.xtree.node import Node, index_tree
-
+    edit + re-freeze protocol.  The stale layout now stands down and
+    the run re-derives one for the new freeze — once."""
     tree = document(element("a", element("b"), element("c")))
     doc = IndexedDocument(tree)
     stale_layout = doc.layout
@@ -82,33 +103,45 @@ def test_refrozen_tree_invalidates_the_layout():
     index_tree(tree.root, tree)
 
     assert not stale_layout.covers(tree.root)
-    via_layout = plan.run(tree.root, layout=stale_layout)
-    direct = plan.run(tree.root)
-    assert len(direct.answers) == 2
-    assert via_layout.answers == direct.answers
-    assert via_layout.stats == direct.stats
-    # A layout built against the new freeze covers it again.
-    fresh = IndexedDocument(tree)
-    assert fresh.layout.covers(tree.root)
-    refreshed = plan.run(tree.root, layout=fresh.layout)
-    assert refreshed.answers == direct.answers
+    builds = len(layout_builds)
+    via_stale = plan.run(tree.root, layout=stale_layout)
+    derived = plan.run(tree.root)
+    assert len(layout_builds) == builds + 1
+    assert tree.layout is not stale_layout
+    assert tree.layout.covers(tree.root)
+    assert len(derived.answers) == 2
+    assert derived.answers == evaluate(parse_query("//b"), tree.root)
+    assert via_stale.answers == derived.answers
+    assert via_stale.stats == derived.stats
 
 
-def test_foreign_layout_falls_back_to_string_path():
+def test_layout_is_derived_once_per_freeze(layout_builds):
+    tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=4))
+    plan = compile_plan("//patient", algorithm="hype")
+    for context in (tree.root, tree.root, tree.nodes[3]):
+        plan.run(context)
+    BatchEvaluator([plan, plan]).run(tree.root)
+    assert layout_builds == [tree]
+
+
+def test_foreign_layout_is_replaced_by_the_derived_one():
     tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))
     other = generate_hospital_document(HospitalConfig(num_patients=3, seed=9))
     layout = IndexedDocument(other).layout
+    assert not layout.covers(tree.root)
     plan = compile_plan("//patient", algorithm="hype")
     direct = plan.run(tree.root)
-    fallen_back = plan.run(tree.root, layout=layout)
-    assert fallen_back.answers == direct.answers
-    assert fallen_back.stats == direct.stats
+    foreign = plan.run(tree.root, layout=layout)
+    assert foreign.answers == direct.answers
+    assert foreign.answers == evaluate(parse_query("//patient"), tree.root)
+    assert foreign.stats == direct.stats
 
 
 def test_one_plan_serves_two_documents_with_distinct_layouts():
     """Label ids are per-document: a shared HyPE plan must not leak one
     document's interning into another's rows."""
-    plan = compile_plan("//patient/record", algorithm="hype")
+    query = "//patient/record"
+    plan = compile_plan(query, algorithm="hype")
     for seed in (1, 2, 3):
         tree = generate_hospital_document(
             HospitalConfig(num_patients=2, seed=seed)
@@ -116,7 +149,23 @@ def test_one_plan_serves_two_documents_with_distinct_layouts():
         doc = IndexedDocument(tree)
         a = plan.run(tree.root)
         b = plan.run(tree.root, layout=doc.layout)
-        assert a.answers == b.answers and a.stats == b.stats
+        assert a.answers == b.answers == evaluate(parse_query(query), tree.root)
+        assert a.stats == b.stats
+
+
+def test_nodes_outliving_their_tree_still_evaluate():
+    root = generate_hospital_document(HospitalConfig(num_patients=2, seed=6)).root
+    plan = compile_plan("//patient", algorithm="hype")
+    assert plan.run(root).answers == evaluate(parse_query("//patient"), root)
+
+
+def test_detached_context_is_rejected():
+    tree = document(element("a", element("b", element("c"))))
+    detached = tree.root.children[0]
+    tree.root.children.clear()
+    index_tree(tree.root, tree)
+    with pytest.raises(EvaluationError):
+        compile_plan("c", algorithm="hype").run(detached)
 
 
 class TestServiceSharing:
@@ -179,3 +228,34 @@ class TestServiceSharing:
             b = second.submit("t", "//patient")
             assert a.ids() == b.ids()
             assert store.stats.index_builds == 1
+
+    def test_one_layout_per_served_document(self, tmp_path, layout_builds):
+        """N requests over one store document cost exactly ONE layout
+        construction — and zero after a warm ``--doc-dir`` reload, whose
+        layout is mmap-loaded — so the per-run lazy derivation never
+        duplicates the store's layout."""
+        tree = generate_hospital_document(HospitalConfig(num_patients=4, seed=8))
+        xml = serialize(tree)
+        requests = [QueryRequest("t", q) for q in FIG8.values()]
+        answers = []
+        for expected_builds in (1, 0):
+            layout_builds.clear()
+            store = DocumentStore(index_dir=tmp_path / "docs")
+            doc = store.get(xml)
+            with QueryService(
+                doc, default_algorithm=OPTHYPE, document_store=store
+            ) as service:
+                service.register_tenant("t", None)
+                for request in requests:
+                    service.submit(request.tenant, request.query)
+                service.submit_many(requests)
+                service.submit_wave(requests * 2)
+                answers.append(
+                    [service.submit("t", q).ids() for q in FIG8.values()]
+                )
+            # A run given no layout derives one — and must find the
+            # store's instead of building a second.
+            compile_plan("//patient", algorithm="hype").run(doc.tree.root)
+            assert len(layout_builds) == expected_builds
+        assert store.stats.layout_loads == 1
+        assert answers[0] == answers[1]

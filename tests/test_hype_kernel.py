@@ -1,12 +1,14 @@
 """Dense-kernel properties: one loop, one table, persistable closure.
 
 The kernel's acceptance bar: for ANY document and ANY query, the single
-:func:`repro.hype.kernel.descend` loop must produce byte-identical
-answers and :class:`HyPEStats` across all three algorithm variants,
-sequentially and batched — and a plan whose table was *preloaded* from a
-persisted :func:`kernel_payload` closure must be indistinguishable from
-one that filled lazily.  The payload itself must survive the artifact
-codec (format v3) and be rejected structurally when mangled.
+:func:`repro.hype.kernel.descend` loop must produce the reference
+evaluator's answers and byte-identical :class:`HyPEStats` across all
+three algorithm variants, sequentially and batched — and a plan whose
+table was *preloaded* from a persisted :func:`kernel_payload` closure
+must be indistinguishable from one that filled lazily.  The payload
+itself must survive the artifact codec (format v3) and be rejected
+structurally when mangled.  A golden table pins the counters on a fixed
+hospital document.
 """
 
 import pytest
@@ -21,6 +23,8 @@ from repro.hype.kernel import OTHER_LABEL, kernel_payload
 from repro.hype.index import build_index
 from repro.serve.batch import BatchEvaluator
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
+from repro.workloads.queries import FIG8
+from repro.xpath.evaluator import evaluate
 
 from .strategies import paths, trees
 
@@ -37,38 +41,50 @@ class TestOneSharedLoop:
     @settings(max_examples=40, deadline=None)
     def test_batched_lanes_match_sequential_runs(self, tree, query):
         """All three algorithms in ONE batched pass == three sequential
-        runs, on both the string and the columnar path."""
+        runs == the reference evaluator, with a derived and with a
+        pre-resolved layout."""
         plans = _algorithm_plans(query, tree)
         layout = IndexedDocument(tree).layout
+        expected = evaluate(query, tree.root)
         for batch_layout in (None, layout):
             batch = BatchEvaluator(plans).run(tree.root, layout=batch_layout)
             for plan, lane in zip(plans, batch.results):
                 solo = plan.run(tree.root, layout=batch_layout)
-                assert lane.answers == solo.answers
+                assert lane.answers == solo.answers == expected
                 assert lane.stats == solo.stats
 
     def test_descend_is_the_only_descent_loop(self):
         """Structural guard: CompiledPlan.run and BatchEvaluator.run
-        both drive repro.hype.kernel.descend, and no other descent
-        implementation exists in the library."""
+        both drive repro.hype.kernel.descend, no other descent
+        implementation exists in the library (no composed machine), and
+        the kernel walks only the columnar layout — no Node-list child
+        walk anywhere under repro/hype/."""
         import ast as pyast
+        import importlib.util
         import inspect
         import pathlib
 
         import repro
 
+        assert importlib.util.find_spec("repro.hype.compose") is None
         src_root = pathlib.Path(inspect.getfile(repro)).parent
         callers = []
+        child_walks = []
         for path in sorted(src_root.rglob("*.py")):
             tree = pyast.parse(path.read_text())
             for node in pyast.walk(tree):
-                if (
-                    isinstance(node, pyast.Call)
-                    and isinstance(node.func, pyast.Name)
-                    and node.func.id == "descend"
-                ):
+                if not isinstance(node, pyast.Call):
+                    continue
+                if isinstance(node.func, pyast.Name) and node.func.id == "descend":
                     callers.append(path.name)
+                if (
+                    isinstance(node.func, pyast.Attribute)
+                    and node.func.attr == "element_children_cached"
+                    and path.parent.name == "hype"
+                ):
+                    child_walks.append(path.name)
         assert sorted(callers) == ["batch.py", "core.py"]
+        assert child_walks == []
 
 
 class TestPreloadedClosure:
@@ -86,10 +102,11 @@ class TestPreloadedClosure:
             eager = CompiledPlan.for_algorithm(
                 mfa, algorithm, tree, indexes, kernel=payload
             )
+            expected = evaluate(query, tree.root)
             for run_layout in (None, layout):
                 a = lazy.run(tree.root, layout=run_layout)
                 b = eager.run(tree.root, layout=run_layout)
-                assert a.answers == b.answers
+                assert a.answers == b.answers == expected
                 assert a.stats == b.stats
 
     def test_preload_installs_the_closure(self):
@@ -137,7 +154,8 @@ class TestStaleLayoutFallback:
         """The freeze_count guard must hold for layouts loaded from the
         binary sidecar exactly as for built ones: after an edit +
         re-freeze, the loaded layout stands down and the kernel serves
-        the new structure through the string path."""
+        the new structure through a layout re-derived for the new
+        freeze."""
         from repro.docstore import DocumentStore
         from repro.xtree.build import document, element
         from repro.xtree.node import Node, index_tree
@@ -160,9 +178,49 @@ class TestStaleLayoutFallback:
         assert not stale.covers(doc.tree.root)
         via_layout = plan.run(doc.tree.root, layout=stale)
         direct = plan.run(doc.tree.root)
+        assert doc.tree.layout is not stale
+        assert doc.tree.layout.covers(doc.tree.root)
         assert len(direct.answers) == 2
         assert via_layout.answers == direct.answers
         assert via_layout.stats == direct.stats
+
+
+#: ``(visited, skipped, cans_vertices, afa_states_resolved)`` per Fig. 8
+#: query and algorithm on the 20-patient, seed-11 hospital document.
+#: Recorded while the string path still cross-checked the columnar one;
+#: with that check gone these values pin the kernel's counters.
+GOLDEN_STATS = {
+    ("fig8a", "hype"): (889, 0, 3643, 2684),
+    ("fig8a", "opthype"): (238, 240, 239, 611),
+    ("fig8a", "opthype-c"): (238, 240, 239, 611),
+    ("fig8b", "hype"): (889, 0, 3643, 5440),
+    ("fig8b", "opthype"): (421, 308, 239, 1354),
+    ("fig8b", "opthype-c"): (421, 308, 239, 1354),
+    ("fig8c", "hype"): (889, 0, 3643, 5396),
+    ("fig8c", "opthype"): (333, 280, 271, 983),
+    ("fig8c", "opthype-c"): (333, 280, 271, 983),
+}
+
+
+class TestGoldenStats:
+    @pytest.fixture(scope="class")
+    def golden_tree(self):
+        return generate_hospital_document(HospitalConfig(num_patients=20, seed=11))
+
+    @pytest.mark.parametrize("name, algorithm", sorted(GOLDEN_STATS))
+    def test_fig8_counters_are_pinned(self, golden_tree, name, algorithm):
+        plan = compile_plan(FIG8[name], algorithm=algorithm, tree=golden_tree)
+        for result in (
+            plan.run(golden_tree.root),
+            BatchEvaluator([plan]).run(golden_tree.root).results[0],
+        ):
+            stats = result.stats
+            assert (
+                stats.visited_elements,
+                stats.skipped_subtrees,
+                stats.cans_vertices,
+                stats.afa_states_resolved,
+            ) == GOLDEN_STATS[(name, algorithm)]
 
 
 class TestArtifactKernelField:

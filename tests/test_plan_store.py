@@ -15,6 +15,7 @@ import pytest
 
 from repro.compile import FORMAT_VERSION, PlanStore, QueryCompiler
 from repro.compile.pipeline import REWRITE, TRANSLATE
+from repro.compile.store import COMPOSED_SUFFIX
 from repro.serve.cache import PlanCache, plan_key
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads import FIG8, VIEW_QUERIES
@@ -92,8 +93,11 @@ class TestPlanStore:
         for query in ("a", "b", "c"):
             artifact = compiler.compile(None, query)
             store.save(artifact.cache_key(), artifact)
-        assert store.clear() == 3
+        leftover = store.root / ("e" * 64 + COMPOSED_SUFFIX)
+        leftover.write_text("{}")
+        assert store.clear() == 4
         assert len(store) == 0
+        assert not leftover.exists()
 
 
 class TestTwoTierCache:
@@ -397,6 +401,27 @@ class TestStoreGC:
         assert store.stats.gc_removed == 3
         # The healthy artifact still loads afterwards.
         assert store.load(healthy.cache_key()) is not None
+
+    def test_gc_removes_leftover_composed_files(self, store):
+        """No current process reads ``*.composed.json`` blobs (the wave-
+        composition tier older versions persisted), so gc reclaims every
+        one — well-formed or not — and leaves healthy plans alone."""
+        compiler = QueryCompiler()
+        healthy = [compiler.compile(None, q) for q in ("a/b", "a[b]/c")]
+        for artifact in healthy:
+            store.save(artifact.cache_key(), artifact)
+        wellformed = store.root / ("c" * 64 + COMPOSED_SUFFIX)
+        wellformed.write_text(
+            json.dumps({"keys": [["hype"]], "payload": {"trans": []}})
+        )
+        garbage = store.root / ("d" * 64 + COMPOSED_SUFFIX)
+        garbage.write_bytes(b"{not json")
+        assert store.gc() == 2
+        assert not wellformed.exists() and not garbage.exists()
+        assert store.stats.gc_removed == 2
+        assert len(store) == 2
+        for artifact in healthy:
+            assert store.load(artifact.cache_key()) is not None
 
     def test_gc_on_clean_store_removes_nothing(self, store):
         compiler = QueryCompiler()

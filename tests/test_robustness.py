@@ -32,28 +32,28 @@ from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 
 QUERIES = sorted(VIEW_QUERIES.values())
 
-_services: dict[bool, QueryService] = {}
+_services: list[QueryService] = []
 _reference: dict[tuple[str, str], list[int]] = {}
 
 
-def service_for(compose: bool) -> QueryService:
-    """One shared small service per composition mode (built lazily so
-    hypothesis examples reuse it; answers are read-only)."""
-    if compose not in _services:
+def shared_service() -> QueryService:
+    """One shared small service (built lazily so hypothesis examples
+    reuse it; answers are read-only)."""
+    if not _services:
         doc = generate_hospital_document(
             HospitalConfig(num_patients=6, seed=3)
         )
-        svc = QueryService(doc, compose=compose)
+        svc = QueryService(doc)
         svc.register_view("research", sigma0())
         svc.register_tenant("institute", "research")
-        _services[compose] = svc
-    return _services[compose]
+        _services.append(svc)
+    return _services[0]
 
 
-def reference_ids(compose: bool, algorithm: str, query: str) -> list[int]:
-    key = (f"compose={compose}:{algorithm}", query)
+def reference_ids(algorithm: str, query: str) -> list[int]:
+    key = (algorithm, query)
     if key not in _reference:
-        answer = service_for(compose).submit(
+        answer = shared_service().submit(
             "institute", query, algorithm=algorithm
         )
         _reference[key] = answer.ids()
@@ -63,10 +63,8 @@ def reference_ids(compose: bool, algorithm: str, query: str) -> list[int]:
 class TestNoPartialAnswers:
     """A deadline-expired request is rejected whole — its slot holds a
     DeadlineError, never an answer missing nodes — across all three
-    algorithms (string and columnar kernels) and both the composed and
-    per-lane wave paths; wavemates without deadlines stay complete."""
+    algorithms; wavemates without deadlines stay complete."""
 
-    @pytest.mark.parametrize("compose", [False, True])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @given(
         picks=st.lists(
@@ -84,10 +82,8 @@ class TestNoPartialAnswers:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_expired_requests_reject_whole(
-        self, compose, algorithm, picks, tiny_ms
-    ):
-        svc = service_for(compose)
+    def test_expired_requests_reject_whole(self, algorithm, picks, tiny_ms):
+        svc = shared_service()
         requests = []
         for query, kind in picks:
             deadline = None
@@ -110,11 +106,10 @@ class TestNoPartialAnswers:
                 continue
             assert not isinstance(outcome, Exception), outcome
             # Any answer that does come back is the COMPLETE answer.
-            assert outcome.ids() == reference_ids(compose, algorithm, query)
+            assert outcome.ids() == reference_ids(algorithm, query)
 
-    @pytest.mark.parametrize("compose", [False, True])
-    def test_expired_wavemate_does_not_sink_the_wave(self, compose):
-        svc = service_for(compose)
+    def test_expired_wavemate_does_not_sink_the_wave(self):
+        svc = shared_service()
         result = svc.submit_wave(
             [
                 QueryRequest(
@@ -128,7 +123,7 @@ class TestNoPartialAnswers:
         expired, live = result.outcomes
         assert isinstance(expired, DeadlineError)
         assert rejection_kind(expired) == "deadline"
-        assert live.ids() == reference_ids(compose, "hype", "patient")
+        assert live.ids() == reference_ids("hype", "patient")
 
     def test_deadline_rejections_are_counted(self):
         doc = generate_hospital_document(HospitalConfig(num_patients=3, seed=5))

@@ -204,6 +204,35 @@ class TestSubmitMany:
         assert stats.lanes == len(requests)
         assert stats.visited_elements < stats.sequential_visited
 
+    def test_mixed_view_wave_matches_sequential_submits(
+        self, service, sigma0_spec
+    ):
+        """One wave over two views posing the same queries: every lane
+        answers exactly what its own sequential submit answers (the
+        per-view rewrites stay separate lanes of the shared pass)."""
+        from repro.dtd import hospital_dtd, hospital_view_dtd
+        from repro.views.samples import SIGMA0_ANNOTATIONS
+        from repro.views.spec import view_spec
+
+        restricted = view_spec(
+            hospital_dtd(),
+            hospital_view_dtd(),
+            {**SIGMA0_ANNOTATIONS, ("patient", "parent"): "parent[not(.)]"},
+        )
+        service.register_view("restricted", restricted)
+        service.register_tenant("audit", "restricted")
+        wave = [
+            QueryRequest(tenant, query)
+            for tenant in ("institute", "audit")
+            for query in ("patient", "patient/record")
+        ]
+        answers, stats = service.submit_many(wave)
+        assert stats.lanes == 4
+        for request, answer in zip(wave, answers):
+            expected = service.submit(request.tenant, request.query)
+            assert answer.ids() == expected.ids()
+            assert answer.stats == expected.stats
+
     def test_duplicate_requests_share_one_lane(self, service):
         requests = [QueryRequest("institute", "patient")] * 3 + [
             QueryRequest("admin", FIG8A)
