@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke front-smoke obs-smoke concurrency-smoke cache-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke front-smoke obs-smoke concurrency-smoke cache-smoke fleet-smoke chaos-smoke perfbench-selftest warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -86,6 +86,14 @@ fleet-smoke:
 # drain. CI runs this.
 chaos-smoke:
 	$(PY) -m pytest benchmarks/test_chaos.py -q
+
+# Benchmark self-test: every perfbench workload at tiny size, untraced
+# and traced.  The traced mode wraps serving internals by name (the
+# frontend/acceptor _serve_message, submit_wave, admission, plan cache,
+# batch run, pool, worker call), so a refactor that renames or bypasses
+# one of them fails here. CI runs this.
+perfbench-selftest:
+	$(PY) perfbench/selftest.py
 
 # Precompile the default hospital workload into ./plans (demo of the
 # warm subcommand; serve-front --plan-dir plans then boots warm).

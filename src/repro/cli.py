@@ -831,9 +831,41 @@ def _install_faults(args: argparse.Namespace) -> None:
     )
 
 
-def cmd_serve_front(args: argparse.Namespace) -> int:
+async def _serve_until_drained(server, draining: str, drained: str) -> None:
+    """Serve until SIGTERM, then drain gracefully, close, and return.
+
+    ``server`` is a :class:`repro.serve.frontend.QueryFrontend` or a
+    :class:`repro.serve.fleet.FleetAcceptor`; ``draining`` is printed when
+    the signal lands and ``drained`` once ``server.drain()`` finished.
+    """
     import asyncio
     import signal
+
+    stop = asyncio.Event()
+
+    async def _drain() -> None:
+        print(draining, flush=True)
+        await server.drain()
+        stop.set()
+
+    try:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, lambda: asyncio.ensure_future(_drain())
+        )
+    except NotImplementedError:  # pragma: no cover - non-Unix loops
+        pass
+    serving = asyncio.create_task(server.serve_forever())
+    try:
+        await stop.wait()
+        print(drained, flush=True)
+    finally:
+        serving.cancel()
+        await asyncio.gather(serving, return_exceptions=True)
+        await server.close()
+
+
+def cmd_serve_front(args: argparse.Namespace) -> int:
+    import asyncio
 
     from .serve.frontend import QueryFrontend
 
@@ -871,32 +903,14 @@ def cmd_serve_front(args: argparse.Namespace) -> int:
             f"max pending/conn {args.max_pending}{obs_note})",
             flush=True,
         )
-        # Graceful drain on SIGTERM: refuse new admissions, finish every
-        # in-flight wave, flush the access log — what a fleet restart
-        # (or any supervisor) needs from a worker.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        async def _drain() -> None:
-            print("draining: refusing new admissions", flush=True)
-            await frontend.drain()
-            stop.set()
-
-        try:
-            loop.add_signal_handler(
-                signal.SIGTERM,
-                lambda: asyncio.ensure_future(_drain()),
-            )
-        except NotImplementedError:  # pragma: no cover - non-Unix loops
-            pass
-        server = asyncio.create_task(frontend.serve_forever())
-        try:
-            await stop.wait()
-            print("drained: all in-flight requests flushed", flush=True)
-        finally:
-            server.cancel()
-            await asyncio.gather(server, return_exceptions=True)
-            await frontend.close()
+        # Drain refuses new admissions, finishes every in-flight wave and
+        # flushes the access log — what a fleet restart (or any
+        # supervisor) needs from a worker.
+        await _serve_until_drained(
+            frontend,
+            "draining: refusing new admissions",
+            "drained: all in-flight requests flushed",
+        )
 
     try:
         asyncio.run(_serve())
@@ -908,7 +922,6 @@ def cmd_serve_front(args: argparse.Namespace) -> int:
 def cmd_serve_fleet(args: argparse.Namespace) -> int:
     """Boot the multi-process fleet: one acceptor, N workers."""
     import asyncio
-    import signal
 
     from .serve.fleet import FleetAcceptor, FleetSpec
     from .workloads.multidoc import MultiDocConfig
@@ -951,33 +964,13 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             f"plan dir {args.plan_dir or '-'}, doc dir {args.doc_dir or '-'})",
             flush=True,
         )
-        # Graceful drain on SIGTERM, mirroring serve-front: stop
-        # accepting, flush every acknowledged request, SIGTERM the
-        # workers (they drain in-process), exit 0.  Before this the
-        # acceptor died hard and dropped whatever was in flight.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        async def _drain() -> None:
-            print("draining: refusing new connections", flush=True)
-            await acceptor.drain()
-            stop.set()
-
-        try:
-            loop.add_signal_handler(
-                signal.SIGTERM,
-                lambda: asyncio.ensure_future(_drain()),
-            )
-        except NotImplementedError:  # pragma: no cover - non-Unix loops
-            pass
-        server = asyncio.create_task(acceptor.serve_forever())
-        try:
-            await stop.wait()
-            print("drained: fleet stopped cleanly", flush=True)
-        finally:
-            server.cancel()
-            await asyncio.gather(server, return_exceptions=True)
-            await acceptor.close()
+        # Drain stops accepting, flushes every acknowledged request and
+        # SIGTERMs the workers (they drain in-process).
+        await _serve_until_drained(
+            acceptor,
+            "draining: refusing new connections",
+            "drained: fleet stopped cleanly",
+        )
 
     try:
         asyncio.run(_serve())

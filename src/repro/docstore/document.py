@@ -16,12 +16,9 @@ tenant, lane, wave and algorithm variant that touches the document.  An
   (``--doc-dir``), a previously-persisted index is loaded instead of
   rebuilt and fresh builds are written back.
 
-``index_for`` also satisfies the index-provider protocol of
-:meth:`repro.hype.core.CompiledPlan.for_algorithm`, so an
-:class:`IndexedDocument` can be passed wherever the older per-service
-``dict[bool, Index]`` cache went — with the difference that N concurrent
-cold requests now trigger exactly ONE build (counted in
-``stats.index_builds``) instead of racing N.
+``index_for`` is how :meth:`repro.hype.core.CompiledPlan.for_algorithm`
+obtains an OptHyPE index: N concurrent cold requests trigger exactly ONE
+build (counted in ``stats.index_builds``) instead of racing N.
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ class SMOQE:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
         doc = self._doc
-        compiled = plan.compiled(algo, doc.tree, doc)
+        compiled = plan.compiled(algo, doc)
         result = compiled.run(doc.tree.root, layout=doc.layout)
         return result.answers, result.stats, algo
 

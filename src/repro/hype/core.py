@@ -142,7 +142,6 @@ class CompiledPlan:
         mfa: MFA,
         algorithm: str,
         document,
-        indexes: dict,
         kernel: dict | None = None,
     ) -> "CompiledPlan":
         """Build (or rehydrate) the plan realising ``algorithm`` on ``mfa``.
@@ -152,12 +151,9 @@ class CompiledPlan:
         persistent tier rehydrating an MFA decoded from a
         :class:`repro.compile.artifact.PlanArtifact`.  Artifacts carry
         only the automaton: the document-side index comes from
-        ``indexes``, which is either an *index provider* (anything with
-        an ``index_for(compressed)`` method — canonically
-        :class:`repro.docstore.document.IndexedDocument`, which builds
-        or tier-loads each variant exactly once under a lock) or the
-        legacy plain ``dict[bool, Index]`` cache (``setdefault`` keeps
-        concurrent cold builds converging on one object).  Every memo
+        ``document``, a :class:`repro.docstore.document.IndexedDocument`
+        (anything with an ``index_for(compressed)`` method), which builds
+        or tier-loads each variant exactly once under a lock.  Every memo
         table starts empty, filling lazily on first run — unless the
         artifact shipped its eager dense closure, passed as ``kernel``
         and preloaded into the plan's
@@ -166,23 +162,13 @@ class CompiledPlan:
         filter rows always stay lazy).
         """
         from .api import ALGORITHMS, HYPE, OPTHYPE_C
-        from .index import build_index
 
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if algorithm == HYPE:
             plan = cls(mfa)
         else:
-            compressed = algorithm == OPTHYPE_C
-            index_for = getattr(indexes, "index_for", None)
-            if index_for is not None:
-                index = index_for(compressed)
-            else:
-                index = indexes.get(compressed)
-                if index is None:
-                    index = indexes.setdefault(
-                        compressed, build_index(document, compressed=compressed)
-                    )
+            index = document.index_for(algorithm == OPTHYPE_C)
             plan = cls(
                 mfa, index=index, analyzer=ViabilityAnalyzer(mfa, index.bits)
             )

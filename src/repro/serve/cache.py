@@ -42,6 +42,7 @@ from ..automata.mfa import MFA
 from ..compile.artifact import PlanArtifact, PlanKey
 from ..compile.pipeline import NormalizedQuery, QueryCompiler
 from ..compile.store import PlanStore
+from ..docstore.document import IndexedDocument
 from ..hype.core import CompiledPlan
 from ..obs.trace import span
 from ..views.spec import ViewSpec
@@ -49,7 +50,6 @@ from ..xpath import ast
 from ..xpath.normalize import normal_form
 from ..xpath.parser import parse_query
 from ..xpath.unparse import unparse
-from ..xtree.node import XMLTree
 
 V = TypeVar("V")
 
@@ -106,29 +106,26 @@ class CachedPlan:
     )
 
     def compiled(
-        self, algorithm: str, document: XMLTree, indexes: dict
+        self, algorithm: str, document: IndexedDocument
     ) -> CompiledPlan:
         """The (cached) compiled plan realising ``algorithm``.
 
-        ``indexes`` is the caller's per-document index cache
-        (``compressed -> Index``), shared across plans; construction
-        delegates to :meth:`repro.hype.core.CompiledPlan.for_algorithm`,
-        the same rehydration path a persisted artifact takes.  When the
-        backing artifact carries a dense kernel closure (format v3),
-        every algorithm variant is preloaded from it — a rehydrated
-        plan's hot loop starts filled.
+        ``document`` supplies the per-document index, shared across
+        plans; construction delegates to
+        :meth:`repro.hype.core.CompiledPlan.for_algorithm`, the same
+        rehydration path a persisted artifact takes.  When the backing
+        artifact carries a dense kernel closure (format v3), every
+        algorithm variant is preloaded from it — a rehydrated plan's hot
+        loop starts filled.
 
-        The memo is keyed per ``(algorithm, document)``: an executable
-        plan embeds document-specific state (the OptHyPE index, the
-        dense kernel's interned mask tables), so one cached MFA serving
-        a multi-document service must realise a separate executable per
-        document it runs over.  The document key is the content hash
-        when the caller's index cache is an
-        :class:`repro.docstore.IndexedDocument` (stable across store
-        evictions), the tree's identity otherwise.
+        The memo is keyed per ``(algorithm, document content hash)``: an
+        executable plan embeds document-specific state (the OptHyPE
+        index, the dense kernel's interned mask tables), so one cached
+        MFA serving a multi-document service must realise a separate
+        executable per document it runs over; the content hash keeps the
+        key stable across store evictions.
         """
-        doc_key = getattr(indexes, "content_hash", None) or str(id(document))
-        key = f"{algorithm}@{doc_key}"
+        key = f"{algorithm}@{document.content_hash}"
         plan = self.plans.get(key)
         if plan is not None:
             return plan
@@ -141,7 +138,6 @@ class CachedPlan:
                 self.mfa,
                 algorithm,
                 document,
-                indexes,
                 kernel=artifact.kernel if artifact is not None else None,
             )
             self.plans[key] = plan

@@ -11,8 +11,13 @@ denies the in-process :class:`repro.serve.pool.ExecutionPool`.  Topology:
   ``--doc-dir`` tiers, so a cold worker performs **zero MFA rewrites and
   zero index builds** for anything a sibling (or a previous run) already
   compiled — the property PRs 4–5 built and ``make fleet-smoke`` checks.
-* **The acceptor** owns the listening socket and speaks the same NDJSON
-  protocol as a single frontend.  Every ``query`` is routed by the
+* **The acceptor** owns the listening socket and runs the frontend's
+  own connection loop (:class:`repro.serve.frontend.LineServer`), so it
+  follows the same four connection rules as a single frontend: an
+  oversized line gets ``invalid-request`` and a dropped connection, a
+  present ``id`` is echoed (``null`` included), draining refuses only
+  ``query`` lines, and a connection past ``DEFAULT_MAX_PENDING``
+  unanswered queries gets ``overloaded``.  Every ``query`` is routed by the
   *document content hash* it names through a
   :class:`repro.serve.ring.HashRing` over worker names, so each worker's
   in-memory plan/layout LRUs stay hot for its shard of the document
@@ -28,13 +33,15 @@ denies the in-process :class:`repro.serve.pool.ExecutionPool`.  Topology:
   Workers answering ``draining`` (mid-SIGTERM) are rerouted the same
   way, which is what makes rolling fleet restarts invisible to clients.
 
-Acceptor ops beyond the frontend protocol: ``fleet`` reports topology
-(worker pids/liveness/restarts and the document→worker routing),
-``metrics`` returns per-worker snapshots, and ``prometheus`` merges the
-workers' ``worker``-labelled expositions into one aggregate view
-(:func:`repro.obs.export.merge_expositions`).  Sessions (``open`` /
+Acceptor ops: ``query`` (routed as above), ``ping`` (also reports the
+fleet size), ``documents`` (the routing catalog), ``fleet`` (topology:
+worker pids/liveness/restarts/breakers and the document→worker
+routing), ``metrics`` (per-worker snapshots plus the acceptor's own
+resilience counters) and ``prometheus`` (the workers'
+``worker``-labelled expositions merged with the acceptor's series by
+:func:`repro.obs.export.merge_expositions`).  Sessions (``open`` /
 ``close``) are worker-local state and are rejected as ``bad-request``
-through the acceptor.
+through the acceptor, as is ``trace`` (traces stay on the workers).
 """
 
 from __future__ import annotations
@@ -54,7 +61,13 @@ from ..errors import ReproError, ServiceError
 from ..faults import fire as _fault_fire
 from ..obs.export import _Exposition, merge_expositions
 from .admission import AdmissionConfig
-from .frontend import DEFAULT_HOST, LINE_LIMIT, QueryFrontend
+from .frontend import (
+    DEFAULT_HOST,
+    DEFAULT_MAX_PENDING,
+    LINE_LIMIT,
+    LineServer,
+    QueryFrontend,
+)
 from .ring import DEFAULT_REPLICAS, HashRing
 
 #: Seconds to wait for a spawned worker's handshake line.
@@ -482,8 +495,13 @@ class WorkerHandle:
 # ----------------------------------------------------------------------
 # The acceptor
 # ----------------------------------------------------------------------
-class FleetAcceptor:
-    """The fleet's front door: one socket, N workers, ring routing."""
+class FleetAcceptor(LineServer):
+    """The fleet's front door: one socket, N workers, ring routing.
+
+    The connection loop is the frontend's :class:`LineServer`, with the
+    module's line cap and per-connection pending cap; only the replies
+    (routing, fleet-wide metrics) are the acceptor's own.
+    """
 
     def __init__(
         self,
@@ -499,6 +517,7 @@ class FleetAcceptor:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(DEFAULT_MAX_PENDING, LINE_LIMIT)
         self.spec = spec
         names = [f"w{i}" for i in range(workers)]
         self.workers: dict[str, WorkerHandle] = {
@@ -530,12 +549,6 @@ class FleetAcceptor:
         self.worker_restarts: dict[str, int] = {name: 0 for name in names}
         self._restart_attempts: dict[str, int] = {name: 0 for name in names}
         self._restart_at: dict[str, float] = {name: 0.0 for name in names}
-        self.host: str | None = None
-        self.port: int | None = None
-        self.draining = False
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._inflight: set[asyncio.Task] = set()
         self._health_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -552,56 +565,40 @@ class FleetAcceptor:
         catalog = await first.call({"op": "documents"})
         self.documents = catalog["documents"]
         self.default_document = catalog["default"]
-        self._server = await asyncio.start_server(
-            self._handle_client, host, port, limit=LINE_LIMIT
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        bound = await super().start(host, port)
         self._health_task = asyncio.create_task(self._health_loop())
-        return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise RuntimeError("acceptor not started")
-        await self._server.serve_forever()
+        return bound
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse new work, flush what was accepted.
 
-        Ordered so no acknowledged request is lost: (1) close the
-        listening socket — no new connections; (2) mark draining — lines
-        already-open connections send from now on are refused with an
-        ``error: draining`` reply, never silently dropped; (3) await
-        every request task admitted before the mark; (4) stop the health
-        loop (it must not resurrect workers mid-shutdown) and close the
-        client connections; (5) SIGTERM the workers, which run their own
-        in-process drain before exiting.  Idempotent with :meth:`close`.
+        Ordered so no acknowledged request is lost: (1) mark draining —
+        ``query`` lines already-open connections send from now on are
+        refused with an ``error: draining`` reply, never silently
+        dropped (other ops still pass); (2) close the listening socket —
+        no new connections; (3) await every query admitted before the
+        mark; (4) stop the health loop (it must not resurrect workers
+        mid-shutdown) and close the client connections, which flushes
+        their remaining replies; (5) SIGTERM the workers, which run
+        their own in-process drain before exiting.  Idempotent with
+        :meth:`close`.
         """
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        self._draining = True
+        await self._close_listener()
         while self._inflight:
             await asyncio.gather(
                 *list(self._inflight), return_exceptions=True
             )
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        await asyncio.gather(
-            *(worker.stop() for worker in self.workers.values())
-        )
+        await self._stop_health()
+        await self._close_connections()
+        await self._stop_workers()
 
     async def close(self) -> None:
+        await self._stop_health()
+        await super().close()
+        await self._stop_workers()
+
+    async def _stop_health(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -609,23 +606,11 @@ class FleetAcceptor:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._connections:
-            for task in list(self._connections):
-                task.cancel()
-            await asyncio.gather(*self._connections, return_exceptions=True)
+
+    async def _stop_workers(self) -> None:
         await asyncio.gather(
             *(worker.stop() for worker in self.workers.values())
         )
-
-    async def __aenter__(self) -> "FleetAcceptor":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
 
     # ------------------------------------------------------------------
     def _restart_delay(self, name: str) -> float:
@@ -794,6 +779,20 @@ class FleetAcceptor:
             "message": "no live worker for this document shard",
         }
 
+    async def _ask_workers(self, op: str) -> dict[str, dict | None]:
+        """Every worker's reply to ``op`` (``None`` for a down worker)."""
+        replies: dict[str, dict | None] = {}
+        for name, worker in self.workers.items():
+            replies[name] = None
+            if worker.alive:
+                try:
+                    replies[name] = await worker.call(
+                        {"op": op}, timeout=self.request_timeout
+                    )
+                except (WorkerUnavailable, asyncio.TimeoutError):
+                    pass
+        return replies
+
     async def _reply_for(self, message: dict) -> dict:
         op = message.get("op")
         if op == "query":
@@ -830,36 +829,22 @@ class FleetAcceptor:
                 "timeouts": self.timeouts,
             }
         if op == "metrics":
-            per_worker: dict[str, dict | None] = {}
-            for name, worker in self.workers.items():
-                if not worker.alive:
-                    per_worker[name] = None
-                    continue
-                try:
-                    reply = await worker.call(
-                        {"op": "metrics"}, timeout=self.request_timeout
-                    )
-                    per_worker[name] = reply.get("metrics")
-                except (WorkerUnavailable, asyncio.TimeoutError):
-                    per_worker[name] = None
+            replies = await self._ask_workers("metrics")
             return {
                 "ok": True,
-                "workers": per_worker,
+                "workers": {
+                    name: reply and reply.get("metrics")
+                    for name, reply in replies.items()
+                },
                 "fleet": self._fleet_health(),
             }
         if op == "prometheus":
-            texts = []
-            for worker in self.workers.values():
-                if not worker.alive:
-                    continue
-                try:
-                    reply = await worker.call(
-                        {"op": "prometheus"}, timeout=self.request_timeout
-                    )
-                except (WorkerUnavailable, asyncio.TimeoutError):
-                    continue
-                if reply.get("ok"):
-                    texts.append(reply["prometheus"])
+            replies = await self._ask_workers("prometheus")
+            texts = [
+                reply["prometheus"]
+                for reply in replies.values()
+                if reply and reply.get("ok")
+            ]
             texts.append(self._acceptor_exposition())
             return {"ok": True, "prometheus": merge_expositions(texts)}
         if op in ("open", "close"):
@@ -874,110 +859,6 @@ class FleetAcceptor:
             "error": "bad-request",
             "message": f"unknown op {op!r}",
         }
-
-    # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One client connection: a task per line, ids echoed verbatim."""
-        conn = asyncio.current_task()
-        if conn is not None:
-            self._connections.add(conn)
-            conn.add_done_callback(self._connections.discard)
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(
-                        writer,
-                        write_lock,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "message": (
-                                f"request line exceeds {LINE_LIMIT} bytes"
-                            ),
-                        },
-                    )
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    message = json.loads(line)
-                    if not isinstance(message, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as error:
-                    await self._send(
-                        writer,
-                        write_lock,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "message": f"invalid request line: {error}",
-                        },
-                    )
-                    continue
-                if self.draining:
-                    reply = {
-                        "ok": False,
-                        "error": "draining",
-                        "message": "acceptor is draining; retry elsewhere",
-                    }
-                    client_id = message.get("id")
-                    if client_id is not None:
-                        reply["id"] = client_id
-                    await self._send(writer, write_lock, reply)
-                    continue
-                task = asyncio.create_task(
-                    self._serve_message(message, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _serve_message(
-        self, message: dict, writer: asyncio.StreamWriter, lock: asyncio.Lock
-    ) -> None:
-        client_id = message.pop("id", None)
-        try:
-            reply = await self._reply_for(message)
-        except Exception as error:
-            reply = {
-                "ok": False,
-                "error": "internal",
-                "message": f"{type(error).__name__}: {error}",
-            }
-        if client_id is not None:
-            reply["id"] = client_id
-        await self._send(writer, lock, reply)
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, reply: dict
-    ) -> None:
-        data = (json.dumps(reply) + "\n").encode()
-        async with lock:
-            writer.write(data)
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
 
 
 async def start_fleet(

@@ -8,6 +8,12 @@ into waves and share one :class:`repro.serve.batch.BatchEvaluator`
 document pass.  Evaluation runs in a worker thread; the event loop keeps
 reading sockets while a wave evaluates.
 
+The connection loop itself — line cap, JSON framing, draining refusal,
+per-connection pending cap, one task per line, id echo — is
+:class:`LineServer`, which :class:`repro.serve.fleet.FleetAcceptor`
+extends too: the acceptor and a single frontend follow one rule set and
+differ only in how they build a reply.
+
 Protocol (one request object per line, one reply object per line)::
 
     {"op": "open",    "tenant": T}                  -> {"ok": true, "session": S, ...}
@@ -114,35 +120,37 @@ DEFAULT_MAX_PENDING = 32
 LINE_LIMIT = 1 << 20
 
 
-class QueryFrontend:
-    """The NDJSON socket server wrapping one :class:`QueryService`."""
+class LineServer:
+    """The NDJSON connection loop every server in the stack runs.
 
-    def __init__(
-        self,
-        service: QueryService,
-        admission: AdmissionConfig | None = None,
-        executor: Executor | None = None,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        tracer: Tracer | None = None,
-        access_log: AccessLogger | None = None,
-        worker: str | None = None,
-        max_line_bytes: int = LINE_LIMIT,
-    ) -> None:
+    :class:`QueryFrontend` and :class:`repro.serve.fleet.FleetAcceptor`
+    both extend this; a subclass supplies :meth:`_reply_for` (one request
+    object in, one reply object out) and, optionally, the
+    :meth:`_record_rejection` hook for structured refusals.  The loop
+    enforces the same four connection rules for every server:
+
+    1. a line past ``max_line_bytes`` gets ``invalid-request``, then the
+       connection drops (framing past the buffer is unrecoverable);
+    2. a request's ``id`` is echoed whenever the key is present, ``null``
+       included;
+    3. while :attr:`draining`, ``query`` lines get ``draining``; other
+       ops still pass, so a supervisor can scrape final metrics;
+    4. a connection may have ``max_pending`` queries unanswered; one more
+       gets ``overloaded`` and the connection stays up.
+
+    Malformed lines get ``bad-request``; an unexpected exception while
+    building a reply gets ``internal`` — every request line is answered.
+    """
+
+    def __init__(self, max_pending: int, max_line_bytes: int) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if max_line_bytes < 1024:
             raise ValueError(
                 f"max_line_bytes must be >= 1024, got {max_line_bytes}"
             )
-        self.service = service
-        self.admission = AdmissionController(service, admission, executor)
         self.max_pending = max_pending
         self.max_line_bytes = max_line_bytes
-        self.tracer = tracer
-        self.access_log = access_log
-        # ``worker`` labels this process's Prometheus series so a fleet's
-        # merged exposition keeps per-worker resolution.
-        self.worker = worker
         self.host: str | None = None
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -167,51 +175,45 @@ class QueryFrontend:
 
     async def serve_forever(self) -> None:
         if self._server is None:
-            raise RuntimeError("frontend not started")
+            raise RuntimeError(f"{type(self).__name__} not started")
         await self._server.serve_forever()
 
-    async def close(self) -> None:
+    async def _close_listener(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Stop established connections too (the server close above only
-        # stops the listening socket): cancel each handler out of its
-        # blocking read — its ``finally`` still flushes in-flight replies
-        # and closes the transport — then wait for all of them.
+
+    async def _close_connections(self) -> None:
+        # The listener close only stops the listening socket: cancel each
+        # handler out of its blocking read — its ``finally`` still flushes
+        # in-flight replies and closes the transport — then wait for all.
         if self._connections:
             for task in list(self._connections):
                 task.cancel()
             await asyncio.gather(*self._connections, return_exceptions=True)
 
+    async def close(self) -> None:
+        await self._close_listener()
+        await self._close_connections()
+
     @property
     def draining(self) -> bool:
         return self._draining
 
-    async def drain(self) -> None:
-        """Graceful shutdown: refuse new queries, finish in-flight ones.
-
-        From the first await here every arriving ``query`` line is
-        answered with a structured ``draining`` rejection (counted in the
-        metrics; non-query ops still pass, so a supervisor can scrape
-        final metrics).  Queries already admitted run to completion and
-        their replies are flushed, then the access log is closed so every
-        record reaches disk.  Call :meth:`close` afterwards to drop the
-        listener and connections.
-        """
-        self._draining = True
-        if self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        if self.access_log is not None:
-            self.access_log.log.close()
-
-    async def __aenter__(self) -> "QueryFrontend":
+    async def __aenter__(self):
         return self
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
     # ------------------------------------------------------------------
+    async def _reply_for(self, message: dict) -> dict:
+        raise NotImplementedError
+
+    def _record_rejection(self, kind: str, tenant: str | None) -> None:
+        """Count a refusal the loop answered itself (no-op by default)."""
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -236,22 +238,12 @@ class QueryFrontend:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    # Oversized line (the --max-line-bytes DoS guard):
-                    # framing past the buffer cap is unrecoverable —
-                    # reply with a structured rejection, count it, then
-                    # drop the connection.
-                    self.service.metrics.record_rejection("invalid-request")
-                    await self._send(
+                    await self._refuse(
                         writer,
                         write_lock,
-                        {
-                            "ok": False,
-                            "error": "invalid-request",
-                            "message": (
-                                "request line exceeds "
-                                f"{self.max_line_bytes} bytes"
-                            ),
-                        },
+                        {},
+                        "invalid-request",
+                        f"request line exceeds {self.max_line_bytes} bytes",
                     )
                     break
                 if not line:
@@ -278,39 +270,25 @@ class QueryFrontend:
                 if is_query and self._draining:
                     # Graceful shutdown: new admissions are refused with a
                     # structured kind so a load balancer retries elsewhere.
-                    tenant = message.get("tenant")
-                    self.service.metrics.record_rejection(
+                    await self._refuse(
+                        writer,
+                        write_lock,
+                        message,
                         "draining",
-                        tenant=None if tenant is None else str(tenant),
+                        "server is draining; retry elsewhere",
                     )
-                    reply = {
-                        "ok": False,
-                        "error": "draining",
-                        "message": "server is draining; retry elsewhere",
-                    }
-                    if "id" in message:
-                        reply["id"] = message["id"]
-                    await self._send(writer, write_lock, reply)
                     continue
                 if is_query and pending_queries >= self.max_pending:
                     # Backpressure: reject rather than queue without bound.
-                    tenant = message.get("tenant")
-                    self.service.metrics.record_rejection(
+                    await self._refuse(
+                        writer,
+                        write_lock,
+                        message,
                         "overloaded",
-                        tenant=None if tenant is None else str(tenant),
+                        f"connection has {pending_queries} pending "
+                        f"query(ies) (cap {self.max_pending}); drain "
+                        "replies before pipelining more",
                     )
-                    reply = {
-                        "ok": False,
-                        "error": "overloaded",
-                        "message": (
-                            f"connection has {pending_queries} pending "
-                            f"query(ies) (cap {self.max_pending}); drain "
-                            "replies before pipelining more"
-                        ),
-                    }
-                    if "id" in message:
-                        reply["id"] = message["id"]
-                    await self._send(writer, write_lock, reply)
                     continue
                 task = asyncio.create_task(
                     self._serve_message(message, writer, write_lock)
@@ -318,8 +296,8 @@ class QueryFrontend:
                 tasks.add(task)
                 if is_query:
                     pending_queries += 1
-                    # Tracked frontend-wide too, so drain() can await
-                    # every in-flight query across all connections.
+                    # Tracked server-wide too, so a drain can await every
+                    # in-flight query across all connections.
                     self._inflight.add(task)
                     task.add_done_callback(self._inflight.discard)
                     task.add_done_callback(_query_done)
@@ -337,6 +315,22 @@ class QueryFrontend:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass  # already tearing down; the transport is closed
 
+    async def _refuse(
+        self,
+        writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
+        message: dict,
+        kind: str,
+        text: str,
+    ) -> None:
+        """Answer one line with a structured ``kind`` refusal, counted."""
+        tenant = message.get("tenant")
+        self._record_rejection(kind, None if tenant is None else str(tenant))
+        reply = {"ok": False, "error": kind, "message": text}
+        if "id" in message:
+            reply["id"] = message["id"]
+        await self._send(writer, lock, reply)
+
     async def _send(
         self, writer: asyncio.StreamWriter, lock: asyncio.Lock, reply: dict
     ) -> None:
@@ -351,13 +345,6 @@ class QueryFrontend:
     async def _serve_message(
         self, message: dict, writer: asyncio.StreamWriter, lock: asyncio.Lock
     ) -> None:
-        fault = _fault_fire("worker.message")
-        if fault is not None and fault.action == "crash":
-            # Deterministic chaos: die exactly as an OOM-killed or
-            # segfaulted worker would — no reply, no cleanup; the
-            # acceptor's unacknowledged-retry path and health loop
-            # must absorb it.
-            os._exit(13)
         try:
             reply = await self._reply_for(message)
         except Exception as error:
@@ -372,7 +359,59 @@ class QueryFrontend:
             reply["id"] = message["id"]
         await self._send(writer, lock, reply)
 
+
+class QueryFrontend(LineServer):
+    """The NDJSON socket server wrapping one :class:`QueryService`."""
+
+    def __init__(
+        self,
+        service: QueryService,
+        admission: AdmissionConfig | None = None,
+        executor: Executor | None = None,
+        max_pending: int = DEFAULT_MAX_PENDING,
+        tracer: Tracer | None = None,
+        access_log: AccessLogger | None = None,
+        worker: str | None = None,
+        max_line_bytes: int = LINE_LIMIT,
+    ) -> None:
+        super().__init__(max_pending, max_line_bytes)
+        self.service = service
+        self.admission = AdmissionController(service, admission, executor)
+        self.tracer = tracer
+        self.access_log = access_log
+        # ``worker`` labels this process's Prometheus series so a fleet's
+        # merged exposition keeps per-worker resolution.
+        self.worker = worker
+
+    async def drain(self) -> None:
+        """Graceful shutdown: refuse new queries, finish in-flight ones.
+
+        From the first await here every arriving ``query`` line is
+        answered with a structured ``draining`` rejection (counted in the
+        metrics; non-query ops still pass, so a supervisor can scrape
+        final metrics).  Queries already admitted run to completion and
+        their replies are flushed, then the access log is closed so every
+        record reaches disk.  Call :meth:`close` afterwards to drop the
+        listener and connections.
+        """
+        self._draining = True
+        if self._inflight:
+            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        if self.access_log is not None:
+            self.access_log.log.close()
+
+    # ------------------------------------------------------------------
+    def _record_rejection(self, kind: str, tenant: str | None) -> None:
+        self.service.metrics.record_rejection(kind, tenant=tenant)
+
     async def _reply_for(self, message: dict) -> dict:
+        fault = _fault_fire("worker.message")
+        if fault is not None and fault.action == "crash":
+            # Deterministic chaos: die exactly as an OOM-killed or
+            # segfaulted worker would — no reply, no cleanup; the
+            # acceptor's unacknowledged-retry path and health loop
+            # must absorb it.
+            os._exit(13)
         op = message.get("op")
         try:
             if op == "open":

@@ -14,15 +14,20 @@ nor against a document its catalog does not name (a
 rejection kind).  A tenant bound to ``view=None`` is trusted with direct
 (unrewritten) regular-XPath access to its cataloged sources.
 
-Two serving paths:
+One request path with three entry points:
 
-* :meth:`QueryService.submit` — one request: authorise, fetch or compile
-  the plan from the shared LRU :class:`repro.serve.cache.PlanCache`, run
-  HyPE, record metrics.
-* :meth:`QueryService.submit_many` — many requests over the same
-  document: plans are gathered per request and evaluated by one
-  :class:`repro.serve.batch.BatchEvaluator` pass, so K queries cost one
-  shared traversal instead of K.
+* :meth:`QueryService.submit` — one request, raising on rejection.
+* :meth:`QueryService.submit_many` — many requests, all-or-nothing.
+* :meth:`QueryService.submit_wave` — one admission wave, with a
+  per-request outcome (answer or rejection) for every slot.
+
+Each admits its requests the same way (authorise, then fetch or compile
+the plan from the shared :class:`repro.serve.cache.PlanCache`) into a
+:class:`Grant`, and runs the grants per document through one
+:class:`repro.serve.batch.BatchEvaluator` pass — K queries cost one
+shared traversal instead of K, and a single request is a one-grant
+pass.  One helper turns each evaluated grant into its spans, metrics,
+session touch and :class:`QueryAnswer`.
 
 Concurrency: compiled plans are immutable-after-warmup and thread-safe
 (:class:`repro.hype.core.CompiledPlan`), so evaluation needs no global
@@ -142,6 +147,46 @@ class WaveResult:
     def rejected(self) -> int:
         """Requests rejected before evaluation."""
         return len(self.outcomes) - self.admitted
+
+
+@dataclass
+class Grant:
+    """One admitted request: everything evaluation and accounting need.
+
+    Built by :meth:`QueryService._admit` once authorisation and planning
+    passed; ``document`` is the authorised content hash and ``deadline``
+    the armed budget (``None`` = unbounded).
+    """
+
+    request: QueryRequest
+    binding: TenantBinding
+    algorithm: str
+    plan: CachedPlan
+    query_text: str
+    session: Session | None
+    document: str
+    deadline: Deadline | None
+
+    def live(self) -> bool:
+        """Whether the deadline still leaves time to evaluate."""
+        return self.deadline is None or not self.deadline.expired()
+
+
+def _in(ctx: contextvars.Context | None, fn, *args, **kwargs):
+    """Call ``fn`` inside ``ctx`` when given, else in the calling context."""
+    if ctx is None:
+        return fn(*args, **kwargs)
+    return ctx.run(fn, *args, **kwargs)
+
+
+def _total(parts: list[BatchStats]) -> BatchStats:
+    """The summed counters of several passes."""
+    return BatchStats(
+        lanes=sum(part.lanes for part in parts),
+        visited_elements=sum(part.visited_elements for part in parts),
+        skipped_subtrees=sum(part.skipped_subtrees for part in parts),
+        sequential_visited=sum(part.sequential_visited for part in parts),
+    )
 
 
 def rejection_kind(error: ReproError) -> str:
@@ -333,47 +378,57 @@ class QueryService:
             raise AuthorizationError(f"unknown tenant {tenant!r}")
         return binding
 
-    def _authorize(
-        self,
-        tenant: str,
-        algorithm: str | None,
-        session_id: str | None,
-        document: str | None = None,
-    ) -> tuple[TenantBinding, str, Session | None, str]:
-        """Authorise; return the binding, algorithm, session and doc hash.
+    def _grant(self, request: QueryRequest) -> Grant:
+        """Authorise and plan ``request``; return its :class:`Grant`.
 
-        ``document`` (a content hash, or ``None`` for the default) is
-        checked against the tenant's catalog — an uncataloged hash is a
-        :class:`DocumentError` whether or not the service could serve it,
-        so a tenant cannot probe which documents exist outside its
-        catalog.
+        The request's deadline is armed here (unless the caller armed it
+        earlier, e.g. at protocol arrival) and a request that arrives
+        already expired is rejected before any authorisation or compile
+        work is spent on it.
+
+        ``request.document`` (a content hash, or ``None`` for the
+        default) is checked against the tenant's catalog — an
+        uncataloged hash is a :class:`DocumentError` whether or not the
+        service could serve it, so a tenant cannot probe which documents
+        exist outside its catalog.
 
         The :class:`Session` object (not just its id) is captured here so
         accounting after evaluation touches the admitted session directly
         — a session closed mid-flight must not fail a request (let alone
         a whole wave) that was admitted while it was open.
         """
+        tenant = request.tenant
+        deadline = request.arm()
+        if deadline is not None and deadline.expired():
+            raise DeadlineError("deadline expired before admission")
         binding = self._binding(tenant)
-        algo = algorithm or self.default_algorithm
+        algo = request.algorithm or self.default_algorithm
         if algo not in ALGORITHMS:
             raise ServiceError(f"unknown algorithm {algo!r}")
         if algo not in binding.algorithms:
             raise AuthorizationError(
                 f"tenant {tenant!r} may not use algorithm {algo!r}"
             )
-        doc_hash = document if document is not None else self._default_hash
+        doc_hash = request.document
+        if doc_hash is None:
+            doc_hash = self._default_hash
         if doc_hash not in binding.documents:
             raise DocumentError(
                 f"document {doc_hash!r} is not in tenant {tenant!r}'s catalog"
             )
         session = None
-        if session_id is not None:
-            session = self.sessions.get(session_id)
+        if request.session_id is not None:
+            session = self.sessions.get(request.session_id)
             if session.tenant != tenant:
                 raise AuthorizationError(
-                    f"session {session_id!r} does not belong to {tenant!r}"
+                    f"session {request.session_id!r} does not belong to "
+                    f"{tenant!r}"
                 )
-        return binding, algo, session, doc_hash
+        plan, query_text = self._plan(binding, request.query)
+        return Grant(
+            request, binding, algo, plan, query_text, session, doc_hash,
+            deadline,
+        )
 
     # ------------------------------------------------------------------
     # Plan management
@@ -405,58 +460,26 @@ class QueryService:
         request; expiry at any stage — admission, pool queue, or
         mid-descent — raises :class:`repro.errors.DeadlineError`,
         counted under the ``deadline`` rejection kind, and no partial
-        answer is ever returned.
+        answer is ever returned.  The request runs as a one-grant group
+        pass; unlike the batch entry points it records no batch or wave.
         """
-        if deadline is None and deadline_ms is not None:
-            deadline = Deadline.after_ms(deadline_ms)
-        try:
-            if deadline is not None and deadline.expired():
-                raise DeadlineError("deadline expired before admission")
-            binding, algo, session, doc_hash = self._authorize(
-                tenant, algorithm, session_id, document
+        grant = self._admit(
+            QueryRequest(
+                tenant,
+                query,
+                algorithm,
+                session_id,
+                document,
+                deadline_ms,
+                deadline,
             )
-            plan, query_text = self._plan(binding, query)
-        except ReproError as error:
-            # Parse/rewrite failures reject a request just as authorisation
-            # failures do; classify so every rejection is counted.
-            self.metrics.record_rejection(rejection_kind(error), tenant=tenant)
-            raise
-        doc = self._resolve_document(doc_hash)
-        compiled = plan.compiled(algo, doc.tree, doc)
-        try:
-            outcome = self.pool.execute(
-                lambda: compiled.run(
-                    doc.tree.root, layout=doc.layout, deadline=deadline
-                ),
-                deadline=deadline,
-            )
-        except DeadlineError as error:
-            self.metrics.record_rejection(rejection_kind(error), tenant=tenant)
-            raise
-        result = outcome.result
-        add_span("queue.wait", outcome.enqueued, outcome.started)
-        add_span(
-            "evaluate",
-            outcome.started,
-            outcome.finished,
-            algorithm=algo,
-            answers=len(result.answers),
-            visited=result.stats.visited_elements,
         )
-        self.metrics.record_request(
-            tenant, outcome.queue_wait, outcome.eval_seconds, len(result.answers)
+        (answer,), _stats = self._evaluate_group(
+            grant.document, [grant], [None]
         )
-        if session is not None:
-            session.touch(query_text)
-        return QueryAnswer(
-            result.answers,
-            plan.mfa,
-            result.stats,
-            algo,
-            view=binding.view,
-            query_text=query_text,
-            document=doc_hash,
-        )
+        if isinstance(answer, ReproError):
+            raise answer
+        return answer
 
     def submit_many(
         self, requests: list[QueryRequest]
@@ -475,15 +498,7 @@ class QueryService:
         """
         if not requests:
             return [], BatchStats()
-        grants = []
-        for request in requests:
-            try:
-                grants.append(self._admit(request))
-            except ReproError as error:
-                self.metrics.record_rejection(
-                    rejection_kind(error), tenant=request.tenant
-                )
-                raise
+        grants = [self._admit(request) for request in requests]
         answers, stats = self._evaluate_grants(grants)
         for answer in answers:
             # Deadline expiry mid-batch surfaces as that request's
@@ -516,30 +531,23 @@ class QueryService:
         """
         if not requests:
             return WaveResult([], BatchStats())
+        if contexts is None:
+            contexts = [None] * len(requests)
         outcomes: list[QueryAnswer | ReproError] = [None] * len(requests)
-        grants = []
+        grants: list[Grant] = []
         grant_contexts: list[contextvars.Context | None] = []
         admitted_slots: list[int] = []
-        for slot, request in enumerate(requests):
-            ctx = contexts[slot] if contexts is not None else None
+        for slot, (request, ctx) in enumerate(zip(requests, contexts)):
             try:
-                if ctx is not None:
-                    grant = ctx.run(self._admit, request)
-                else:
-                    grant = self._admit(request)
+                grant = _in(ctx, self._admit, request)
             except ReproError as error:
-                self.metrics.record_rejection(
-                    rejection_kind(error), tenant=request.tenant
-                )
                 outcomes[slot] = error
                 continue
             grants.append(grant)
             grant_contexts.append(ctx)
             admitted_slots.append(slot)
         if grants:
-            answers, stats = self._evaluate_grants(
-                grants, contexts=grant_contexts
-            )
+            answers, stats = self._evaluate_grants(grants, grant_contexts)
         else:
             answers, stats = [], BatchStats()
         for slot, answer in zip(admitted_slots, answers):
@@ -574,7 +582,7 @@ class QueryService:
                 resolve_span.set(source="local")
             local = self._documents.get(content_hash)
             if local is None:
-                # _authorize only admits cataloged hashes, and catalogs
+                # _grant only admits cataloged hashes, and catalogs
                 # only name registered documents — reaching here means
                 # the store *and* the registry lost the entry.
                 raise DocumentError(
@@ -582,31 +590,23 @@ class QueryService:
                 )
             return local
 
-    def _admit(self, request: QueryRequest):
-        """Authorise + plan one request (the pre-evaluation gate).
-
-        The request's deadline is armed here (unless the caller armed it
-        earlier, e.g. at protocol arrival) and a request that arrives
-        already expired is rejected before any authorisation or compile
-        work is spent on it.
-        """
-        deadline = request.arm()
-        if deadline is not None and deadline.expired():
-            raise DeadlineError("deadline expired before admission")
-        binding, algo, session, doc_hash = self._authorize(
-            request.tenant,
-            request.algorithm,
-            request.session_id,
-            request.document,
-        )
-        plan, query_text = self._plan(binding, request.query)
-        return (request, binding, algo, plan, query_text, session, doc_hash, deadline)
+    def _admit(self, request: QueryRequest) -> Grant:
+        """The pre-evaluation gate: :meth:`_grant`, with every rejection —
+        parse and rewrite failures included — counted under its kind
+        before it raises."""
+        try:
+            return self._grant(request)
+        except ReproError as error:
+            self.metrics.record_rejection(
+                rejection_kind(error), tenant=request.tenant
+            )
+            raise
 
     def _evaluate_grants(
         self,
-        grants: list,
+        grants: list[Grant],
         contexts: list[contextvars.Context | None] | None = None,
-    ) -> tuple[list[QueryAnswer], BatchStats]:
+    ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
         """Run admitted grants through shared per-document passes.
 
         Grants are partitioned by the document their request was
@@ -616,38 +616,23 @@ class QueryService:
         request order with the group counters summed into one
         :class:`BatchStats` for the wave.
         """
+        if contexts is None:
+            contexts = [None] * len(grants)
         groups: dict[str, list[int]] = {}
         for index, grant in enumerate(grants):
-            groups.setdefault(grant[6], []).append(index)
+            groups.setdefault(grant.document, []).append(index)
         answers: list[QueryAnswer | ReproError | None] = [None] * len(grants)
-        lanes_total = 0
-        visited_total = 0
-        skipped_total = 0
+        group_stats = []
         for doc_hash, indices in groups.items():
-            group = [grants[index] for index in indices]
-            group_contexts = (
-                [contexts[index] for index in indices]
-                if contexts is not None
-                else None
-            )
-            group_answers, group_stats = self._evaluate_group(
-                doc_hash, group, group_contexts
+            group_answers, stats = self._evaluate_group(
+                doc_hash,
+                [grants[index] for index in indices],
+                [contexts[index] for index in indices],
             )
             for index, answer in zip(indices, group_answers):
                 answers[index] = answer
-            lanes_total += group_stats.lanes
-            visited_total += group_stats.visited_elements
-            skipped_total += group_stats.skipped_subtrees
-        stats = BatchStats(
-            lanes=lanes_total,
-            visited_elements=visited_total,
-            skipped_subtrees=skipped_total,
-            sequential_visited=sum(
-                answer.stats.visited_elements
-                for answer in answers
-                if not isinstance(answer, ReproError)
-            ),
-        )
+            group_stats.append(stats)
+        stats = _total(group_stats)
         self.metrics.record_batch(
             len(grants), stats.visited_elements, stats.sequential_visited
         )
@@ -656,8 +641,8 @@ class QueryService:
     def _evaluate_group(
         self,
         doc_hash: str,
-        grants: list,
-        contexts: list[contextvars.Context | None] | None = None,
+        grants: list[Grant],
+        contexts: list[contextvars.Context | None],
     ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
         """Run one document's admitted grants, deadline-aware.
 
@@ -672,44 +657,48 @@ class QueryService:
         answers: list[QueryAnswer | ReproError | None] = [None] * len(grants)
         live: list[int] = []
         for index, grant in enumerate(grants):
-            deadline = grant[7]
-            if deadline is not None and deadline.expired():
-                answers[index] = self._reject_deadline(
-                    grant[0].tenant, "deadline expired before evaluation"
-                )
-            else:
+            if grant.live():
                 live.append(index)
+            else:
+                answers[index] = self._reject_deadline(
+                    grant, "deadline expired before evaluation"
+                )
         if not live:
             return answers, BatchStats()
         live_grants = [grants[index] for index in live]
-        live_contexts = (
-            [contexts[index] for index in live] if contexts is not None else None
-        )
-        group_deadline = min_deadline(grant[7] for grant in live_grants)
+        live_contexts = [contexts[index] for index in live]
+        resolve_start = time.perf_counter()
+        doc = self._resolve_document(doc_hash, uses=len(live_grants))
+        resolved = (resolve_start, time.perf_counter())
         try:
             group_answers, stats = self._shared_pass(
-                doc_hash, live_grants, live_contexts, group_deadline
+                doc,
+                live_grants,
+                live_contexts,
+                min_deadline(grant.deadline for grant in live_grants),
+                resolved=resolved,
             )
         except DeadlineError:
             group_answers, stats = self._lane_fallback(
-                doc_hash, live_grants, live_contexts
+                doc, live_grants, live_contexts
             )
         for index, answer in zip(live, group_answers):
             answers[index] = answer
         return answers, stats
 
-    def _reject_deadline(self, tenant: str, message: str) -> DeadlineError:
+    def _reject_deadline(self, grant: Grant, message: str) -> DeadlineError:
         """Build + count one structured ``deadline`` rejection."""
-        error = DeadlineError(message)
-        self.metrics.record_rejection("deadline", tenant=tenant)
-        return error
+        self.metrics.record_rejection("deadline", tenant=grant.request.tenant)
+        return DeadlineError(message)
 
     def _shared_pass(
         self,
-        doc_hash: str,
-        grants: list,
-        contexts: list[contextvars.Context | None] | None = None,
-        deadline: Deadline | None = None,
+        doc: IndexedDocument,
+        grants: list[Grant],
+        contexts: list[contextvars.Context | None],
+        deadline: Deadline | None,
+        resolved: tuple[float, float] | None = None,
+        **evaluate_fields,
     ) -> tuple[list[QueryAnswer], BatchStats]:
         """Run one document's admitted grants through one shared pass.
 
@@ -717,25 +706,18 @@ class QueryService:
         bound to one view posing the same query — share one lane, so the
         plan's memo tables are filled once and read by every request.
 
-        Shared-pass phases (document resolution, queue wait, the batched
-        evaluation) happen once per group but serve every grant — with
-        ``contexts`` they are mirrored as spans into *each* request's
-        trace, at the absolute instants the shared work ran.
-
-        ``deadline`` (the wave's earliest) arms the pool's pre-eval drop
-        and the kernel checkpoint; expiry raises
-        :class:`repro.errors.DeadlineError` out of this method with no
-        cursor state surviving.
+        ``deadline`` arms the pool's pre-eval drop and the kernel
+        checkpoint; expiry raises :class:`repro.errors.DeadlineError`
+        out of this method with no cursor state surviving.  ``resolved``
+        is the ``(start, end)`` of the document resolution this pass
+        rode on, mirrored into each request's trace; ``evaluate_fields``
+        are extra attributes for each request's ``evaluate`` span.
         """
-        resolve_start = time.perf_counter()
-        doc = self._resolve_document(doc_hash, uses=len(grants))
-        resolve_end = time.perf_counter()
         lane_of: dict[int, int] = {}
         lanes = []
         request_lane: list[int] = []
         for grant in grants:
-            algo, plan = grant[2], grant[3]
-            compiled = plan.compiled(algo, doc.tree, doc)
+            compiled = grant.plan.compiled(grant.algorithm, doc)
             lane = lane_of.get(id(compiled))
             if lane is None:
                 lane = lane_of[id(compiled)] = len(lanes)
@@ -748,79 +730,37 @@ class QueryService:
             deadline=deadline,
         )
         outcome = pooled.result
-        # Attribute the shared pass evenly across the batched requests.
-        wait_share = pooled.queue_wait / len(grants)
-        eval_share = pooled.eval_seconds / len(grants)
-        answers: list[QueryAnswer] = []
-        for index, (
-            (request, binding, algo, plan, query_text, session, _doc_hash, _dl),
-            lane,
-        ) in enumerate(zip(grants, request_lane)):
-            result = outcome.results[lane]
-            ctx = contexts[index] if contexts is not None else None
-            if ctx is not None:
-                # Mirror the shared-pass phases into this request's trace
-                # at their real absolute times.  Sequential ctx.run calls:
-                # a Context must not be entered from two threads at once.
-                ctx.run(
-                    add_span,
-                    "docstore.resolve",
-                    resolve_start,
-                    resolve_end,
-                    uses=len(grants),
-                )
-                ctx.run(
-                    add_span, "queue.wait", pooled.enqueued, pooled.started
-                )
-                ctx.run(
-                    add_span,
-                    "evaluate",
-                    pooled.started,
-                    pooled.finished,
-                    algorithm=algo,
-                    document=doc_hash,
-                    wave=len(grants),
-                    lanes=len(lanes),
-                    lane=lane,
-                    answers=len(result.answers),
-                    visited=outcome.stats.visited_elements,
-                )
-            self.metrics.record_request(
-                request.tenant, wait_share, eval_share, len(result.answers)
+        answers = [
+            self._answer(
+                grant,
+                outcome.results[lane],
+                pooled,
+                ctx,
+                len(grants),
+                resolved,
+                wave=len(grants),
+                lanes=len(lanes),
+                lane=lane,
+                visited=outcome.stats.visited_elements,
+                **evaluate_fields,
             )
-            if session is not None:
-                # The session captured at admission: touching it directly
-                # keeps a close() racing the evaluation from failing the
-                # wave after every answer was already computed.
-                session.touch(query_text)
-            answers.append(
-                QueryAnswer(
-                    result.answers,
-                    plan.mfa,
-                    result.stats,
-                    algo,
-                    view=binding.view,
-                    query_text=query_text,
-                    document=doc_hash,
-                )
-            )
+            for grant, lane, ctx in zip(grants, request_lane, contexts)
+        ]
         stats = BatchStats(
             lanes=len(lanes),
             visited_elements=outcome.stats.visited_elements,
             skipped_subtrees=outcome.stats.skipped_subtrees,
-            sequential_visited=sum(
-                a.stats.visited_elements for a in answers
-            ),
+            sequential_visited=sum(a.stats.visited_elements for a in answers),
         )
         return answers, stats
 
     def _lane_fallback(
         self,
-        doc_hash: str,
-        grants: list,
-        contexts: list[contextvars.Context | None] | None = None,
+        doc: IndexedDocument,
+        grants: list[Grant],
+        contexts: list[contextvars.Context | None],
     ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
-        """Retry grants one lane at a time, each under its own deadline.
+        """Rerun each grant as its own pass, under its own deadline.
 
         The shared pass aborted on the wave's earliest deadline; here
         every grant gets a fresh cursor and its own budget, so slower
@@ -828,79 +768,82 @@ class QueryService:
         ``deadline`` rejections — never partial answers (the aborted
         pass's cursors were discarded with the exception).
         """
-        doc = self._resolve_document(doc_hash, uses=len(grants))
         answers: list[QueryAnswer | ReproError] = []
-        evaluated = 0
-        visited = 0
-        skipped = 0
-        for index, grant in enumerate(grants):
-            request, binding, algo, plan, query_text, session, _dh, deadline = grant
-            if deadline is not None and deadline.expired():
+        lane_stats = []
+        for grant, ctx in zip(grants, contexts):
+            if not grant.live():
                 answers.append(
                     self._reject_deadline(
-                        request.tenant, "deadline expired before evaluation"
+                        grant, "deadline expired before evaluation"
                     )
                 )
                 continue
-            compiled = plan.compiled(algo, doc.tree, doc)
             try:
-                pooled = self.pool.execute(
-                    lambda c=compiled, d=deadline: c.run(
-                        doc.tree.root, layout=doc.layout, deadline=d
-                    ),
-                    deadline=deadline,
+                (answer,), stats = self._shared_pass(
+                    doc, [grant], [ctx], grant.deadline, fallback="deadline"
                 )
             except DeadlineError:
                 answers.append(
                     self._reject_deadline(
-                        request.tenant, "deadline expired mid-evaluation"
+                        grant, "deadline expired mid-evaluation"
                     )
                 )
                 continue
-            result = pooled.result
-            evaluated += 1
-            visited += result.stats.visited_elements
-            skipped += result.stats.skipped_subtrees
-            ctx = contexts[index] if contexts is not None else None
-            if ctx is not None:
-                ctx.run(add_span, "queue.wait", pooled.enqueued, pooled.started)
-                ctx.run(
-                    add_span,
-                    "evaluate",
-                    pooled.started,
-                    pooled.finished,
-                    algorithm=algo,
-                    document=doc_hash,
-                    answers=len(result.answers),
-                    visited=result.stats.visited_elements,
-                    fallback="deadline",
-                )
-            self.metrics.record_request(
-                request.tenant,
-                pooled.queue_wait,
-                pooled.eval_seconds,
-                len(result.answers),
-            )
-            if session is not None:
-                session.touch(query_text)
-            answers.append(
-                QueryAnswer(
-                    result.answers,
-                    plan.mfa,
-                    result.stats,
-                    algo,
-                    view=binding.view,
-                    query_text=query_text,
-                    document=doc_hash,
-                )
-            )
-        stats = BatchStats(
-            lanes=evaluated,
-            visited_elements=visited,
-            skipped_subtrees=skipped,
-            sequential_visited=visited,
+            answers.append(answer)
+            lane_stats.append(stats)
+        return answers, _total(lane_stats)
+
+    def _answer(
+        self,
+        grant: Grant,
+        result,
+        pooled,
+        ctx: contextvars.Context | None,
+        share: int,
+        resolved: tuple[float, float] | None,
+        **evaluate_fields,
+    ) -> QueryAnswer:
+        """Account one evaluated request and build its answer.
+
+        The pass's phases are recorded as spans in the request's trace —
+        inside ``ctx`` when the request carries one, else in the calling
+        context (where the document resolution already recorded its own
+        span) — its even ``share`` of the pass's queue-wait and
+        evaluation time goes to the metrics, and the session captured at
+        admission is touched directly, so a ``close()`` racing the pass
+        cannot fail a request whose answer was already computed.
+        """
+        if ctx is not None and resolved is not None:
+            ctx.run(add_span, "docstore.resolve", *resolved, uses=share)
+        _in(ctx, add_span, "queue.wait", pooled.enqueued, pooled.started)
+        _in(
+            ctx,
+            add_span,
+            "evaluate",
+            pooled.started,
+            pooled.finished,
+            algorithm=grant.algorithm,
+            document=grant.document,
+            answers=len(result.answers),
+            **evaluate_fields,
         )
-        return answers, stats
+        self.metrics.record_request(
+            grant.request.tenant,
+            pooled.queue_wait / share,
+            pooled.eval_seconds / share,
+            len(result.answers),
+        )
+        if grant.session is not None:
+            grant.session.touch(grant.query_text)
+        return QueryAnswer(
+            result.answers,
+            grant.plan.mfa,
+            result.stats,
+            grant.algorithm,
+            view=grant.binding.view,
+            query_text=grant.query_text,
+            document=grant.document,
+        )
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> MetricsSnapshot:

@@ -95,12 +95,12 @@ class TestPreloadedClosure:
         like a lazily-filled one — every algorithm, both paths."""
         mfa = to_mfa(query)
         payload = kernel_payload(CompiledPlan(mfa))
-        layout = IndexedDocument(tree).layout
-        indexes: dict = {}
+        doc = IndexedDocument(tree)
+        layout = doc.layout
         for algorithm in ALGORITHMS:
-            lazy = CompiledPlan.for_algorithm(mfa, algorithm, tree, indexes)
+            lazy = CompiledPlan.for_algorithm(mfa, algorithm, doc)
             eager = CompiledPlan.for_algorithm(
-                mfa, algorithm, tree, indexes, kernel=payload
+                mfa, algorithm, doc, kernel=payload
             )
             expected = evaluate(query, tree.root)
             for run_layout in (None, layout):
